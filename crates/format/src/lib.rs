@@ -45,7 +45,7 @@ mod submatrix;
 mod tiling;
 mod wire3;
 
-pub use crc::crc32;
+pub use crc::{crc32, crc32_patch, crc32_update};
 pub use encoding::{PositionEncoding, MAX_TILE_SIZE, PATTERN_EDGE};
 pub use error::FormatError;
 pub use fingerprint::MatrixFingerprint;

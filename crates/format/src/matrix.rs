@@ -6,8 +6,10 @@ use std::sync::Arc;
 
 use spasm_patterns::DecompositionTable;
 
+use crate::crc::crc32_patch;
 use crate::encoding::{PositionEncoding, MAX_TILE_SIZE, PATTERN_EDGE};
 use crate::error::FormatError;
+use crate::fingerprint::CrcCache;
 use crate::submatrix::{SubBlock, SubmatrixMap};
 
 /// One entry of the global composition: a non-empty tile in COO order.
@@ -38,7 +40,7 @@ pub struct TemplateInstance {
 /// Construction validates the tile size and requires a decomposition table
 /// whose portfolio covers every occurring local pattern; see
 /// [`SpasmMatrix::encode`].
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Clone, PartialEq)]
 pub struct SpasmMatrix {
     rows: u32,
     cols: u32,
@@ -54,6 +56,26 @@ pub struct SpasmMatrix {
     /// copying `4 × n_instances` floats per plan; the stream is immutable
     /// after encoding, so sharing is free.
     values: Arc<[f32]>,
+    /// The CRC-32 of the canonical v2 payload once known; always equal to
+    /// a full recompute (see [`crate::MatrixFingerprint`]). Excluded from
+    /// equality and `Debug`.
+    pub(crate) payload_crc: CrcCache,
+}
+
+impl std::fmt::Debug for SpasmMatrix {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("SpasmMatrix")
+            .field("rows", &self.rows)
+            .field("cols", &self.cols)
+            .field("tile_size", &self.tile_size)
+            .field("nnz", &self.nnz)
+            .field("paddings", &self.paddings)
+            .field("templates", &self.templates)
+            .field("tiles", &self.tiles)
+            .field("encodings", &self.encodings)
+            .field("values", &self.values)
+            .finish()
+    }
 }
 
 impl SpasmMatrix {
@@ -138,6 +160,7 @@ impl SpasmMatrix {
             tiles,
             encodings,
             values: values.into(),
+            payload_crc: CrcCache::default(),
         })
     }
 
@@ -204,7 +227,9 @@ impl SpasmMatrix {
     }
 
     /// Reassembles a matrix from pre-validated parts (wire
-    /// deserialisation).
+    /// deserialisation). `payload_crc` seeds the fingerprint cache and
+    /// must be the CRC of exactly the canonical payload these parts
+    /// serialise to.
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn from_raw_parts(
         rows: u32,
@@ -216,6 +241,7 @@ impl SpasmMatrix {
         tiles: Vec<Tile>,
         encodings: Vec<PositionEncoding>,
         values: Vec<f32>,
+        payload_crc: Option<u32>,
     ) -> Self {
         debug_assert_eq!(values.len(), encodings.len() * 4);
         SpasmMatrix {
@@ -228,6 +254,7 @@ impl SpasmMatrix {
             tiles,
             encodings,
             values: values.into(),
+            payload_crc: CrcCache::seeded(payload_crc),
         }
     }
 
@@ -443,7 +470,9 @@ impl SpasmMatrix {
     /// `spasm_hw::ExecutionPlan::adopt_values` for the hand-over.
     ///
     /// Validation is transactional: on any error the matrix is
-    /// untouched.
+    /// untouched. A known fingerprint is carried forward exactly by
+    /// patching its CRC with each rewritten slot; an unknown one stays
+    /// unknown, so callers that never fingerprint pay nothing.
     ///
     /// # Errors
     ///
@@ -467,13 +496,26 @@ impl SpasmMatrix {
             }
             slots.push((at, v));
         }
+        let mut crc = self.payload_crc.get();
+        let payload_len = self.payload_len() as u64;
         let mut next: Arc<[f32]> = Arc::from(&self.values[..]);
         if let Some(buf) = Arc::get_mut(&mut next) {
             for (at, v) in slots {
-                buf[at] = v;
+                let old = std::mem::replace(&mut buf[at], v);
+                crc = crc.map(|crc| {
+                    let offset = self.value_slot_offset(at) as u64;
+                    crc32_patch(
+                        crc,
+                        payload_len,
+                        offset,
+                        &old.to_le_bytes(),
+                        &v.to_le_bytes(),
+                    )
+                });
             }
         }
         self.values = Arc::clone(&next);
+        self.payload_crc = CrcCache::seeded(crc);
         Ok(next)
     }
 
@@ -640,6 +682,7 @@ impl SpasmMatrix {
             tiles,
             encodings,
             values: values.into(),
+            payload_crc: CrcCache::default(),
         })
     }
 

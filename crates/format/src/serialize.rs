@@ -26,7 +26,7 @@
 
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 
-use crate::crc::crc32;
+use crate::crc::{crc32, crc32_update};
 use crate::encoding::PositionEncoding;
 use crate::matrix::{SpasmMatrix, Tile};
 
@@ -44,6 +44,39 @@ pub const HEADER_BYTES: usize = 52;
 
 /// Size of the trailing checksum in bytes (version ≥ 2).
 pub const CHECKSUM_BYTES: usize = 4;
+
+/// Size of one tile-directory record in bytes.
+const TILE_BYTES: usize = 12;
+
+/// Size of one instance record in bytes: the encoding word and four
+/// `f32` value slots.
+const INSTANCE_BYTES: usize = 20;
+
+/// Buffers section bytes and hands them to a sink in chunks of at most
+/// [`SectionWriter::CAPACITY`] bytes, so a consumer that only folds the
+/// bytes (the CRC) never holds the whole stream.
+struct SectionWriter<'a> {
+    buf: [u8; SectionWriter::CAPACITY],
+    len: usize,
+    sink: &'a mut dyn FnMut(&[u8]),
+}
+
+impl SectionWriter<'_> {
+    const CAPACITY: usize = 4096;
+
+    fn put(&mut self, bytes: &[u8]) {
+        if self.len + bytes.len() > Self::CAPACITY {
+            self.flush();
+        }
+        self.buf[self.len..self.len + bytes.len()].copy_from_slice(bytes);
+        self.len += bytes.len();
+    }
+
+    fn flush(&mut self) {
+        (self.sink)(&self.buf[..self.len]);
+        self.len = 0;
+    }
+}
 
 /// Errors when decoding a serialised stream.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -118,8 +151,12 @@ impl SpasmMatrix {
     /// # }
     /// ```
     pub fn to_bytes(&self) -> Bytes {
-        let mut buf = self.serialize_sections(VERSION);
-        let crc = crc32(&buf);
+        let mut buf = BytesMut::with_capacity(self.payload_len() + CHECKSUM_BYTES);
+        let mut crc = 0;
+        self.write_sections(VERSION, &mut |chunk| {
+            crc = crc32_update(crc, chunk);
+            buf.put_slice(chunk);
+        });
         buf.put_u32_le(crc);
         buf.freeze()
     }
@@ -128,49 +165,88 @@ impl SpasmMatrix {
     /// checksum). Kept for compatibility testing and for peers that have
     /// not upgraded; new streams should use [`SpasmMatrix::to_bytes`].
     pub fn to_bytes_v1(&self) -> Bytes {
-        self.serialize_sections(1).freeze()
+        let mut buf = BytesMut::with_capacity(self.payload_len());
+        self.write_sections(1, &mut |chunk| buf.put_slice(chunk));
+        buf.freeze()
     }
 
-    /// The header, template, tile and stream sections, with `version`
-    /// stamped in the header.
-    fn serialize_sections(&self, version: u32) -> BytesMut {
+    /// The CRC-32 of the canonical v2 payload — every byte before the
+    /// trailing checksum, which is therefore this same value. Served from
+    /// the matrix's cache when populated; otherwise the sections are
+    /// streamed through the CRC (never materialised) and the cache is
+    /// filled.
+    pub(crate) fn payload_crc(&self) -> u32 {
+        if let Some(crc) = self.payload_crc.get() {
+            return crc;
+        }
+        let mut crc = 0;
+        self.write_sections(VERSION, &mut |chunk| crc = crc32_update(crc, chunk));
+        self.payload_crc.set(crc);
+        crc
+    }
+
+    /// Byte length of the v2 payload: the header, template, tile and
+    /// stream sections (the v1 stream length; v2 adds the checksum).
+    pub(crate) fn payload_len(&self) -> usize {
+        self.stream_offset() + self.n_instances() * INSTANCE_BYTES
+    }
+
+    /// Byte offset of the instance stream section.
+    fn stream_offset(&self) -> usize {
+        let templates = self.template_masks().len();
+        HEADER_BYTES + (templates + templates % 2) * 2 + self.tiles().len() * TILE_BYTES
+    }
+
+    /// Byte offset of value slot `at` (an index into
+    /// [`SpasmMatrix::values`]) within the serialised stream: instance
+    /// `at / 4`'s record, past its encoding word.
+    pub(crate) fn value_slot_offset(&self, at: usize) -> usize {
+        self.stream_offset() + (at / 4) * INSTANCE_BYTES + 4 + (at % 4) * 4
+    }
+
+    /// Streams the header, template, tile and stream sections, with
+    /// `version` stamped in the header, to `sink` in bounded chunks —
+    /// the one writer behind [`SpasmMatrix::to_bytes`],
+    /// [`SpasmMatrix::to_bytes_v1`] and the fingerprint's CRC pass.
+    fn write_sections(&self, version: u32, sink: &mut dyn FnMut(&[u8])) {
         let n_instances = self.n_instances();
-        let mut buf = BytesMut::with_capacity(
-            HEADER_BYTES
-                + self.template_masks().len() * 2
-                + self.tiles().len() * 12
-                + n_instances * 20
-                + CHECKSUM_BYTES,
-        );
-        buf.put_slice(&MAGIC);
-        buf.put_u32_le(version);
-        buf.put_u32_le(self.rows());
-        buf.put_u32_le(self.cols());
-        buf.put_u32_le(self.tile_size());
-        buf.put_u64_le(self.nnz() as u64);
-        buf.put_u64_le(self.paddings());
-        buf.put_u32_le(self.template_masks().len() as u32);
-        buf.put_u32_le(self.tiles().len() as u32);
-        buf.put_u64_le(n_instances as u64);
+        let mut w = SectionWriter {
+            buf: [0; SectionWriter::CAPACITY],
+            len: 0,
+            sink,
+        };
+        w.put(&MAGIC);
+        w.put(&version.to_le_bytes());
+        w.put(&self.rows().to_le_bytes());
+        w.put(&self.cols().to_le_bytes());
+        w.put(&self.tile_size().to_le_bytes());
+        w.put(&(self.nnz() as u64).to_le_bytes());
+        w.put(&self.paddings().to_le_bytes());
+        w.put(&(self.template_masks().len() as u32).to_le_bytes());
+        w.put(&(self.tiles().len() as u32).to_le_bytes());
+        w.put(&(n_instances as u64).to_le_bytes());
         for &mask in self.template_masks() {
-            buf.put_u16_le(mask);
+            w.put(&mask.to_le_bytes());
         }
         if self.template_masks().len() % 2 == 1 {
-            buf.put_u16_le(0); // alignment pad
+            w.put(&[0, 0]); // alignment pad
         }
         for t in self.tiles() {
-            buf.put_u32_le(t.tile_row);
-            buf.put_u32_le(t.tile_col);
-            buf.put_u32_le(t.n_instances as u32);
+            let mut rec = [0u8; TILE_BYTES];
+            rec[0..4].copy_from_slice(&t.tile_row.to_le_bytes());
+            rec[4..8].copy_from_slice(&t.tile_col.to_le_bytes());
+            rec[8..12].copy_from_slice(&(t.n_instances as u32).to_le_bytes());
+            w.put(&rec);
         }
-        let values = self.values();
-        for (i, e) in self.encodings().iter().enumerate() {
-            buf.put_u32_le(e.bits());
-            for k in 0..4 {
-                buf.put_f32_le(values[i * 4 + k]);
+        for (e, v) in self.encodings().iter().zip(self.values().chunks_exact(4)) {
+            let mut rec = [0u8; INSTANCE_BYTES];
+            rec[0..4].copy_from_slice(&e.bits().to_le_bytes());
+            for (k, x) in v.iter().enumerate() {
+                rec[4 + 4 * k..8 + 4 * k].copy_from_slice(&x.to_le_bytes());
             }
+            w.put(&rec);
         }
-        buf
+        w.flush();
     }
 
     /// Reconstructs a matrix from its wire layout (versions 1 and 2).
@@ -228,14 +304,17 @@ impl SpasmMatrix {
         let padded_templates = n_templates + n_templates % 2;
         let payload_len = HEADER_BYTES as u128
             + padded_templates as u128 * 2
-            + n_tiles as u128 * 12
-            + u128::from(n_instances64) * 20;
+            + n_tiles as u128 * TILE_BYTES as u128
+            + u128::from(n_instances64) * INSTANCE_BYTES as u128;
         if payload_len > full.len() as u128 {
             return Err(WireError::Truncated { reading: "payload" });
         }
         let payload_len = payload_len as usize;
         let n_instances = n_instances64 as usize;
 
+        // The verified checksum is the CRC of the canonical payload, so a
+        // v2 decode seeds the decoded matrix's fingerprint cache with it.
+        let mut payload_crc = None;
         if version >= 2 {
             need(full, payload_len + CHECKSUM_BYTES, "checksum")?;
             let stored = u32::from_le_bytes([
@@ -248,6 +327,7 @@ impl SpasmMatrix {
             if stored != computed {
                 return Err(WireError::ChecksumMismatch { stored, computed });
             }
+            payload_crc = Some(computed);
         }
 
         need(data, padded_templates * 2, "template masks")?;
@@ -256,10 +336,15 @@ impl SpasmMatrix {
             let m = data.get_u16_le();
             if i < n_templates {
                 templates.push(m);
+            } else if m != 0 {
+                // The alignment pad is the one field a re-serialisation
+                // does not reproduce, so these bytes are not canonical and
+                // their checksum is not the matrix's fingerprint.
+                payload_crc = None;
             }
         }
 
-        need(data, n_tiles * 12, "tile directory")?;
+        need(data, n_tiles * TILE_BYTES, "tile directory")?;
         let mut tiles = Vec::with_capacity(n_tiles);
         let mut cursor = 0usize;
         let mut last: Option<(u32, u32)> = None;
@@ -289,7 +374,7 @@ impl SpasmMatrix {
             ));
         }
 
-        need(data, n_instances * 20, "instance stream")?;
+        need(data, n_instances * INSTANCE_BYTES, "instance stream")?;
         let mut encodings = Vec::with_capacity(n_instances);
         let mut values = Vec::with_capacity(n_instances * 4);
         for _ in 0..n_instances {
@@ -304,7 +389,16 @@ impl SpasmMatrix {
         }
 
         Ok(SpasmMatrix::from_raw_parts(
-            rows, cols, tile_size, nnz, paddings, templates, tiles, encodings, values,
+            rows,
+            cols,
+            tile_size,
+            nnz,
+            paddings,
+            templates,
+            tiles,
+            encodings,
+            values,
+            payload_crc,
         ))
     }
 }

@@ -435,6 +435,8 @@ impl PlanCatalog {
                 return Ok(key);
             }
         }
+        // Decoding verified the stream's CRC and seeded the matrix's
+        // fingerprint with it, so this key costs no second pass.
         let decoded = SpasmMatrix::from_bytes(bytes)?;
         let key = decoded.fingerprint();
         if self.contains(&key) {
@@ -579,7 +581,10 @@ impl PlanCatalog {
     /// (observable through [`spasm_hw::ExecutionPlan::version`]).
     ///
     /// Returns the new fingerprint (the key subsequent requests must use)
-    /// and how the delta was absorbed.
+    /// and how the delta was absorbed. Re-keying runs under the plan lock
+    /// but does not re-serialise the matrix: a values-only patch carries
+    /// the cached CRC forward from the rewritten slots (`O(ops · log
+    /// len)`), and a splice or re-prepare costs one streamed CRC pass.
     ///
     /// If the update *grows* the entry past the byte budget, unpinned
     /// siblings are evicted best-effort; the updated entry itself is

@@ -6,12 +6,13 @@
 //! * resident bytes never exceed the configured budget;
 //! * a leased (in-flight) plan is never evicted — over-budget inserts
 //!   against a fully pinned catalog fail with `BudgetPinned` instead;
-//! * fingerprint equality is exactly byte-stream equality, and any
+//! * fingerprint equality is exactly byte-stream equality (also for a
+//!   matrix's cached fingerprint along values-only patches), and any
 //!   payload corruption changes the fingerprint.
 
 use proptest::prelude::*;
 use spasm::{Pipeline, PipelineOptions, Prepared};
-use spasm_format::{MatrixFingerprint, CHECKSUM_BYTES, HEADER_BYTES};
+use spasm_format::{MatrixFingerprint, SpasmMatrix, CHECKSUM_BYTES, HEADER_BYTES};
 use spasm_hw::HwConfig;
 use spasm_patterns::TemplateSet;
 use spasm_serve::{CatalogConfig, CatalogError, PlanCatalog, PlanLease};
@@ -135,9 +136,20 @@ proptest! {
 
     /// Fingerprint equality is exactly canonical-byte-stream equality,
     /// the encoding is deterministic, and the wire-side fingerprint
-    /// agrees with the matrix-side one.
+    /// agrees with the matrix-side one — also along a random sequence of
+    /// values-only patches, where the matrix-side fingerprint is carried
+    /// forward from its cache, and for a clone taken mid-sequence, whose
+    /// cache must evolve independently of the original's.
     #[test]
-    fn fingerprint_equality_iff_byte_equality(m1 in arb_matrix(), m2 in arb_matrix()) {
+    fn fingerprint_equality_iff_byte_equality(
+        m1 in arb_matrix(),
+        m2 in arb_matrix(),
+        patches in proptest::collection::vec(
+            proptest::collection::vec((0u32.., 1i32..128), 1..4),
+            1..12,
+        ),
+        clone_at in 0usize..12,
+    ) {
         let pipeline = pinned_pipeline();
         let p1 = pipeline.prepare(&m1).unwrap();
         let p2 = pipeline.prepare(&m2).unwrap();
@@ -154,6 +166,40 @@ proptest! {
             MatrixFingerprint::of_wire_bytes(&b1).unwrap(),
             p1.encoded.fingerprint()
         );
+
+        let scratch = |m: &SpasmMatrix| MatrixFingerprint::of_wire_bytes(&m.to_bytes()).unwrap();
+        let cells: Vec<(u32, u32)> = m1.iter().map(|(r, c, _)| (r, c)).collect();
+        let mut live = p1.encoded.clone();
+        let mut twin = None;
+        for (k, batch) in patches.iter().enumerate() {
+            if k == clone_at {
+                twin = Some(live.clone());
+            }
+            let entries: Vec<(u32, u32, f32)> = batch
+                .iter()
+                .map(|&(sel, q)| {
+                    let (r, c) = cells[sel as usize % cells.len()];
+                    let v = if q == 64 { 17.0 } else { (q - 64) as f32 * 0.25 };
+                    (r, c, v)
+                })
+                .collect();
+            live.patch_values(&entries).unwrap();
+            let fp = live.fingerprint();
+            prop_assert_eq!(fp, scratch(&live), "patch {}", k);
+            prop_assert_eq!(fp == p1.encoded.fingerprint(), live.to_bytes() == b1);
+        }
+        prop_assert_eq!(p1.encoded.fingerprint(), scratch(&p1.encoded));
+        if let Some(mut twin) = twin {
+            prop_assert_eq!(twin.fingerprint(), scratch(&twin));
+            prop_assert_eq!(
+                twin.fingerprint() == live.fingerprint(),
+                twin.to_bytes() == live.to_bytes()
+            );
+            let (r, c) = cells[0];
+            twin.patch_values(&[(r, c, 99.0)]).unwrap();
+            prop_assert_eq!(twin.fingerprint(), scratch(&twin));
+            prop_assert_eq!(live.fingerprint(), scratch(&live));
+        }
     }
 
     /// Flipping any payload byte (header fields, stream body — anything

@@ -1,5 +1,7 @@
 //! A directory of frozen plans keyed by matrix fingerprint.
 
+use std::fs::File;
+use std::io::Write;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
@@ -14,9 +16,15 @@ use crate::StoreError;
 /// A plan store: one wire-v3 file per `(matrix, config)` pair under a
 /// root directory, named by the matrix fingerprint token.
 ///
-/// Writes are atomic (temp file + rename), so a crashed save never
-/// leaves a partial container where a loader could find it; loads map
-/// the file read-only and validate before trusting a byte.
+/// Writes are atomic and durable: [`PlanStore::save`] writes a temp
+/// file, syncs it to disk, renames it into place and syncs the directory
+/// (on Unix), so when `save` returns the container survives a process
+/// crash or power loss, and a crash mid-save leaves either the old file or
+/// none under the final name — never a partial one. Loads map the file
+/// read-only and validate before trusting a byte: a container torn by
+/// anything outside `save` (a disk that drops acknowledged writes, a
+/// copy made by other means) fails with a typed [`StoreError::Wire`], and
+/// saving the plan again replaces it.
 #[derive(Debug, Clone)]
 pub struct PlanStore {
     root: PathBuf,
@@ -51,8 +59,8 @@ impl PlanStore {
         self.path_for(fp).is_file()
     }
 
-    /// Freezes `(matrix, plan)` and writes it atomically, returning the
-    /// file path.
+    /// Freezes `(matrix, plan)` and writes it atomically and durably
+    /// (see [`PlanStore`]), returning the file path.
     ///
     /// # Errors
     ///
@@ -60,11 +68,17 @@ impl PlanStore {
     /// [`StoreError::Io`] on filesystem failure.
     pub fn save(&self, matrix: &SpasmMatrix, plan: &ExecutionPlan) -> Result<PathBuf, StoreError> {
         let bytes = save_v3(matrix, plan)?;
-        let fp = MatrixFingerprint::of_wire_bytes(&matrix.to_bytes())?;
-        let path = self.path_for(&fp);
+        let path = self.path_for(&matrix.fingerprint());
         let tmp = path.with_extension("spasm3.tmp");
-        std::fs::write(&tmp, &bytes)?;
+        let mut file = File::create(&tmp)?;
+        file.write_all(&bytes)?;
+        file.sync_all()?;
+        drop(file);
         std::fs::rename(&tmp, &path)?;
+        // The rename is a directory update: sync the directory so the new
+        // name is on disk too. (Windows cannot open a directory as a file.)
+        #[cfg(unix)]
+        File::open(&self.root)?.sync_all()?;
         Ok(path)
     }
 

@@ -3,66 +3,29 @@
 //! allocations per call — the scratch buffers, report and schedule are all
 //! owned by the plan.
 //!
-//! A counting global allocator is armed only around the measured window,
-//! so the (allocation-heavy) build phase does not pollute the count. The
+//! A counting global allocator (`tests/support/counting_alloc.rs`) is
+//! armed only around the measured window, so the (allocation-heavy) build
+//! phase does not pollute the count, and every test holds its binary-wide
+//! lock, so no sibling test allocates into the window. The
 //! window runs under a serial worker budget: spawning OS threads
 //! inherently allocates, and the contract is about per-call *work*, not
 //! about the fan-out machinery.
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+#[path = "support/counting_alloc.rs"]
+mod counting_alloc;
 
+use counting_alloc::{count_allocs_and_bytes, exclusive};
 use spasm::{Parallelism, Pipeline, PipelineOptions};
 use spasm_sparse::SpMv;
-
-struct CountingAlloc;
-
-static ARMED: AtomicBool = AtomicBool::new(false);
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
-static BYTES: AtomicU64 = AtomicU64::new(0);
-
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        if ARMED.load(Ordering::Relaxed) {
-            ALLOCS.fetch_add(1, Ordering::Relaxed);
-            BYTES.fetch_add(layout.size() as u64, Ordering::Relaxed);
-        }
-        System.alloc(layout)
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        if ARMED.load(Ordering::Relaxed) {
-            ALLOCS.fetch_add(1, Ordering::Relaxed);
-            BYTES.fetch_add(new_size as u64, Ordering::Relaxed);
-        }
-        System.realloc(ptr, layout, new_size)
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        System.dealloc(ptr, layout)
-    }
-}
-
-#[global_allocator]
-static ALLOCATOR: CountingAlloc = CountingAlloc;
 
 /// Counts heap allocations performed while `f` runs.
 fn count_allocs(f: impl FnOnce()) -> u64 {
     count_allocs_and_bytes(f).0
 }
 
-/// Counts heap allocations and the total bytes requested while `f` runs.
-fn count_allocs_and_bytes(f: impl FnOnce()) -> (u64, u64) {
-    ALLOCS.store(0, Ordering::SeqCst);
-    BYTES.store(0, Ordering::SeqCst);
-    ARMED.store(true, Ordering::SeqCst);
-    f();
-    ARMED.store(false, Ordering::SeqCst);
-    (ALLOCS.load(Ordering::SeqCst), BYTES.load(Ordering::SeqCst))
-}
-
 #[test]
 fn plan_run_is_allocation_free_at_steady_state() {
+    let _exclusive = exclusive();
     let mut t = Vec::new();
     for i in 0..256u32 {
         t.push((i, i, 2.0));
@@ -116,6 +79,7 @@ fn plan_run_is_allocation_free_at_steady_state() {
 
 #[test]
 fn run_batch_is_allocation_free_at_steady_state() {
+    let _exclusive = exclusive();
     // The batched scratch (strided x, packed window-major y) grows on the
     // first call for a given batch size and is reused afterwards: once
     // warm, `run_batch` performs zero heap allocations per call.
@@ -176,6 +140,7 @@ fn run_batch_is_allocation_free_at_steady_state() {
 
 #[test]
 fn values_only_delta_apply_is_allocation_bounded() {
+    let _exclusive = exclusive();
     use spasm_sparse::{DeltaOp, MatrixDelta};
 
     // A values-only delta must be a copy-on-write patch of the 4-slot
@@ -213,7 +178,7 @@ fn values_only_delta_apply_is_allocation_bounded() {
         .build()
         .unwrap();
     pool.install(|| {
-        let (_, apply_bytes) = count_allocs_and_bytes(|| {
+        let (_, apply_bytes, ()) = count_allocs_and_bytes(|| {
             prepared.apply_delta(&delta).unwrap();
         });
         assert!(
@@ -223,7 +188,7 @@ fn values_only_delta_apply_is_allocation_bounded() {
         );
 
         // For scale: a from-scratch prepare of the same matrix.
-        let (_, rebuild_bytes) =
+        let (_, rebuild_bytes, ()) =
             count_allocs_and_bytes(|| drop(Pipeline::with_options(opts.clone()).prepare(&a)));
         assert!(
             apply_bytes < rebuild_bytes / 4,
@@ -246,6 +211,7 @@ fn values_only_delta_apply_is_allocation_bounded() {
 
 #[test]
 fn prepared_plans_share_the_value_stream_without_copying() {
+    let _exclusive = exclusive();
     // The flattened value stream is `Arc<[f32]>`-shared between the
     // encoded matrix and every plan prepared from it: preparing another
     // plan must not copy the values.
@@ -283,7 +249,7 @@ fn prepared_plans_share_the_value_stream_without_copying() {
     // second copy of the 4-slot value stream: cloning the matrix (which
     // shares values by refcount) must cost far less than the value bytes.
     let value_bytes = (m.n_instances() * 4 * std::mem::size_of::<f32>()) as u64;
-    let (_, clone_bytes) = count_allocs_and_bytes(|| {
+    let (_, clone_bytes, ()) = count_allocs_and_bytes(|| {
         let cloned = m.clone();
         assert!(std::sync::Arc::ptr_eq(
             cloned.shared_values(),

@@ -655,6 +655,75 @@ fn delta_mid_flight_serves_old_version_then_new_without_evicting_leases() {
 }
 
 #[test]
+fn served_delta_keys_equal_from_scratch_fingerprints() {
+    use spasm::DeltaOutcome;
+    use spasm_format::MatrixFingerprint;
+    use spasm_sparse::MatrixDelta;
+
+    // The key `apply_delta` returns comes from the plan's cached CRC
+    // (patched in place for values-only deltas, streamed after a splice or
+    // re-prepare); it must equal the fingerprint of the plan's canonical
+    // bytes computed from scratch, on every path.
+    fn scratch(s: &SpmvServer, key: MatrixFingerprint) -> MatrixFingerprint {
+        s.with_prepared(key, |p| {
+            MatrixFingerprint::of_wire_bytes(&p.encoded.to_bytes()).expect("v2 stream")
+        })
+        .expect("new key resident")
+    }
+
+    // scatter(96, 4, 0) row 0 holds entries at columns {0, 13, 26, 39}.
+    let base = scatter(96, 4, 0);
+    let s = server(2, 10, 1);
+    let fp = s.ingest_coo(&base).expect("ingest");
+    assert_eq!(fp, scratch(&s, fp));
+
+    let patch = MatrixDelta::new().patch(0, 0, 2.5).patch(0, 26, -1.25);
+    let (fp, outcome) = s.apply_delta(&fp, &patch).expect("patch");
+    assert!(
+        matches!(outcome, DeltaOutcome::Patched { .. }),
+        "{outcome:?}"
+    );
+    assert_eq!(fp, scratch(&s, fp), "patched key");
+
+    let splice = MatrixDelta::new().delete(0, 13).insert(0, 1, 1.75);
+    let (fp, outcome) = s.apply_delta(&fp, &splice).expect("splice");
+    assert!(
+        matches!(outcome, DeltaOutcome::Spliced { .. }),
+        "{outcome:?}"
+    );
+    assert_eq!(fp, scratch(&s, fp), "spliced key");
+
+    // A patch right after a splice carries the freshly streamed CRC.
+    let (fp, outcome) = s
+        .apply_delta(&fp, &MatrixDelta::new().patch(0, 1, 0.25))
+        .expect("patch after splice");
+    assert!(
+        matches!(outcome, DeltaOutcome::Patched { .. }),
+        "{outcome:?}"
+    );
+    assert_eq!(fp, scratch(&s, fp), "patched-after-splice key");
+
+    // A zero drift threshold turns every structural delta into a full
+    // re-prepare.
+    let drifting = SpmvServer::with_pipeline(
+        ServerConfig::default(),
+        Pipeline::with_options(
+            PipelineOptions::default()
+                .fixed_portfolio(TemplateSet::table_v_set(0))
+                .fixed_schedule(256, HwConfig::spasm_4_1())
+                .drift_threshold(0.0),
+        ),
+    );
+    let fp = drifting.ingest_coo(&base).expect("ingest");
+    let (fp, outcome) = drifting.apply_delta(&fp, &splice).expect("re-prepare");
+    assert!(
+        matches!(outcome, DeltaOutcome::Reprepared { .. }),
+        "{outcome:?}"
+    );
+    assert_eq!(fp, scratch(&drifting, fp), "re-prepared key");
+}
+
+#[test]
 fn wire_ingest_skips_resident_plans_and_maps_v3_without_preparing() {
     let m = scatter(96, 3, 7);
     let mut fresh = pinned_pipeline().prepare(&m).expect("prepare");

@@ -9,8 +9,9 @@
 
 use proptest::prelude::*;
 use spasm::{IntegrityPolicy, Parallelism, Pipeline, PipelineOptions, Prepared};
+use spasm_format::{Wire3Reader, DIR_ENTRY_BYTES, HEADER3_BYTES};
 use spasm_sparse::Coo;
-use spasm_store::{save_v3, FrozenPlan, PlanBuffer};
+use spasm_store::{save_v3, section, FrozenPlan, PlanBuffer, PlanStore, StoreError};
 use spasm_workloads::{Scale, Workload};
 
 /// Thaws a v3 byte stream all the way back to a servable `Prepared`.
@@ -149,6 +150,85 @@ fn corruption_is_always_detected() {
             "truncation to {cut} bytes was accepted"
         );
     }
+}
+
+/// A container torn after `PlanStore::save` — cut short at any section
+/// boundary, or with a section zeroed — fails to reopen with a typed
+/// `StoreError::Wire`, and saving the plan again restores a loadable,
+/// byte-identical container.
+#[test]
+fn torn_store_files_fail_typed_and_a_resave_recovers() {
+    let mut t = Vec::new();
+    for i in 0..256u32 {
+        for k in 0..4u32 {
+            t.push((i, (i * 29 + k * 11) % 256, ((i + k) % 7 + 1) as f32 * 0.25));
+        }
+    }
+    let m = Coo::from_triplets(256, 256, t).unwrap();
+    let fresh = Pipeline::with_options(PipelineOptions::default().parallelism(Parallelism::Serial))
+        .prepare(&m)
+        .unwrap();
+    let fp = fresh.encoded.fingerprint();
+
+    let dir = std::env::temp_dir().join(format!("spasm-store-torn-{}", std::process::id()));
+    let store = PlanStore::open(&dir).unwrap();
+    let path = store.save(&fresh.encoded, &fresh.plan).unwrap();
+    assert_eq!(path, store.path_for(&fp));
+    let names: Vec<_> = std::fs::read_dir(&dir)
+        .unwrap()
+        .map(|e| e.unwrap().path())
+        .collect();
+    assert_eq!(
+        names,
+        vec![path.clone()],
+        "save leaves exactly the container behind"
+    );
+
+    // Reopening is what a cold start does: map and parse, then verify
+    // every section CRC while assembling the plan.
+    let reopen = || store.load(&fp).and_then(FrozenPlan::into_plan);
+    reopen().expect("a saved container reopens");
+    let good = std::fs::read(&path).unwrap();
+
+    let reader = Wire3Reader::parse(&good).unwrap();
+    let entries = reader.entries();
+    let mut cuts = vec![
+        0,
+        HEADER3_BYTES,
+        HEADER3_BYTES + entries.len() * DIR_ENTRY_BYTES,
+    ];
+    for e in entries {
+        cuts.push(e.offset as usize);
+        cuts.push((e.offset + e.len) as usize);
+    }
+    cuts.retain(|&c| c < good.len());
+    cuts.sort_unstable();
+    cuts.dedup();
+    let mut torn: Vec<(String, Vec<u8>)> = cuts
+        .iter()
+        .map(|&c| (format!("truncated to {c} bytes"), good[..c].to_vec()))
+        .collect();
+    let values = reader.section_offset(section::VALUES).unwrap();
+    let values_len = reader.section(section::VALUES).unwrap().len();
+    let mut zeroed = good.clone();
+    zeroed[values..values + values_len].fill(0);
+    torn.push(("values section zeroed".to_string(), zeroed));
+
+    for (what, bytes) in torn {
+        std::fs::write(&path, &bytes).unwrap();
+        match reopen() {
+            Err(StoreError::Wire(_)) => {}
+            Err(e) => panic!("{what}: expected a typed wire error, got {e}"),
+            Ok(_) => panic!("{what}: a torn container reopened"),
+        }
+        store.save(&fresh.encoded, &fresh.plan).unwrap();
+        reopen().unwrap_or_else(|e| panic!("{what}: reload after re-save failed: {e}"));
+        assert!(
+            std::fs::read(&path).unwrap() == good,
+            "{what}: re-save differs"
+        );
+    }
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 proptest! {

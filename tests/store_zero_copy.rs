@@ -3,61 +3,20 @@
 //! sections — the plan's frozen SoA streams *borrow* the container
 //! buffer. A counting global allocator bounds the bytes moved while
 //! `FrozenPlan::into_plan` runs, and the steady-state run loop stays
-//! allocation-free exactly as it does for freshly prepared plans.
+//! allocation-free exactly as it does for freshly prepared plans. Every
+//! test holds the binary-wide lock of the shared counting allocator
+//! (`tests/support/counting_alloc.rs`), so no sibling allocates into an
+//! armed window.
 //!
 //! Registered in `crates/store` (`[[test]] name = "store_zero_copy"`).
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+#[path = "support/counting_alloc.rs"]
+mod counting_alloc;
 
+use counting_alloc::{count_allocs_and_bytes, exclusive};
 use spasm::{IntegrityPolicy, Parallelism, Pipeline, PipelineOptions, Prepared};
 use spasm_sparse::Coo;
 use spasm_store::{save_v3, FrozenPlan, PlanBuffer, PlanStore};
-
-struct CountingAlloc;
-
-static ARMED: AtomicBool = AtomicBool::new(false);
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
-static BYTES: AtomicU64 = AtomicU64::new(0);
-
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        if ARMED.load(Ordering::Relaxed) {
-            ALLOCS.fetch_add(1, Ordering::Relaxed);
-            BYTES.fetch_add(layout.size() as u64, Ordering::Relaxed);
-        }
-        System.alloc(layout)
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        if ARMED.load(Ordering::Relaxed) {
-            ALLOCS.fetch_add(1, Ordering::Relaxed);
-            BYTES.fetch_add(new_size as u64, Ordering::Relaxed);
-        }
-        System.realloc(ptr, layout, new_size)
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        System.dealloc(ptr, layout)
-    }
-}
-
-#[global_allocator]
-static ALLOCATOR: CountingAlloc = CountingAlloc;
-
-/// Counts heap allocations and total bytes requested while `f` runs.
-fn count_allocs_and_bytes<T>(f: impl FnOnce() -> T) -> (u64, u64, T) {
-    ALLOCS.store(0, Ordering::SeqCst);
-    BYTES.store(0, Ordering::SeqCst);
-    ARMED.store(true, Ordering::SeqCst);
-    let out = f();
-    ARMED.store(false, Ordering::SeqCst);
-    (
-        ALLOCS.load(Ordering::SeqCst),
-        BYTES.load(Ordering::SeqCst),
-        out,
-    )
-}
 
 /// A scattered square matrix big enough that its instance streams dwarf
 /// any bookkeeping allocations.
@@ -85,6 +44,7 @@ fn instance_stream_bytes(n_instances: usize) -> u64 {
 
 #[test]
 fn thawing_copies_no_stream_bytes() {
+    let _exclusive = exclusive();
     let m = matrix(2048);
     let fresh = prepare(&m);
     let v3 = save_v3(&fresh.encoded, &fresh.plan).expect("save_v3");
@@ -132,6 +92,7 @@ fn thawing_copies_no_stream_bytes() {
 
 #[test]
 fn mapped_plan_run_is_allocation_free_and_exact() {
+    let _exclusive = exclusive();
     let m = matrix(1024);
     let mut fresh = prepare(&m);
     let v3 = save_v3(&fresh.encoded, &fresh.plan).expect("save_v3");
@@ -181,6 +142,7 @@ fn mapped_plan_run_is_allocation_free_and_exact() {
 
 #[test]
 fn file_backed_store_maps_instead_of_reading() {
+    let _exclusive = exclusive();
     let m = matrix(512);
     let fresh = prepare(&m);
 

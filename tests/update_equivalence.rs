@@ -15,12 +15,19 @@
 //! re-prepare fallback, plus the stale-golden regression (a values-only
 //! delta under `IntegrityPolicy::Full` must verify against the *updated*
 //! values, not the ones the plan was prepared with).
+//!
+//! After every applied or rejected delta the live plan's encoded stream
+//! is checked too: byte-equal to the fresh prepare's, and its cached
+//! content fingerprint equal to one computed from scratch over those
+//! bytes. Each test primes the cache right after prepare, so values-only
+//! patches exercise the incremental CRC update rather than a recompute.
 
 use std::collections::BTreeMap;
 
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use spasm::{DeltaOutcome, IntegrityPolicy, Pipeline, PipelineError, PipelineOptions, Prepared};
+use spasm_format::MatrixFingerprint;
 use spasm_hw::{Dispatch, HwConfig};
 use spasm_patterns::TemplateSet;
 use spasm_sparse::{Coo, Csr, DeltaOp, MatrixDelta, SpMv};
@@ -127,6 +134,24 @@ fn mutated_coo(base: &Coo, seq: &[(u64, MatrixDelta)]) -> Coo {
     Coo::from_triplets(base.rows(), base.cols(), triplets).unwrap()
 }
 
+/// Prepares `m` and primes the plan's fingerprint cache, so later
+/// values-only patches carry it forward incrementally.
+fn prepare_live(opts: PipelineOptions, m: &Coo) -> Prepared {
+    let live = Pipeline::with_options(opts).prepare(m).unwrap();
+    live.encoded.fingerprint();
+    live
+}
+
+/// The cached fingerprint equals one computed from scratch over the
+/// canonical bytes (`to_bytes` never reads the cache).
+fn assert_fingerprint_exact(live: &Prepared, label: &str) {
+    assert_eq!(
+        live.encoded.fingerprint(),
+        MatrixFingerprint::of_wire_bytes(&live.encoded.to_bytes()).unwrap(),
+        "{label}: cached fingerprint differs from a from-scratch one"
+    );
+}
+
 /// The full equivalence sweep: live (delta-updated) vs fresh (prepared
 /// from scratch on the mutated matrix), bit for bit, across batch sizes ×
 /// worker budgets × both dispatch modes, with identical execution reports
@@ -143,6 +168,11 @@ fn assert_update_equivalence(live: &mut Prepared, fresh: &mut Prepared, label: &
         fresh.plan.memory_bytes(),
         "{label}: memory_bytes must be repriced to the from-scratch figure"
     );
+    assert!(
+        live.encoded.to_bytes() == fresh.encoded.to_bytes(),
+        "{label}: encoded stream differs from a fresh prepare's"
+    );
+    assert_fingerprint_exact(live, label);
 
     // The lazily-rebuilt golden CSR must describe the mutated matrix.
     let x = &probe_batch(cols, 1)[0];
@@ -192,10 +222,11 @@ fn values_only_deltas_are_bit_identical_to_fresh_prepare() {
             &ChangesetConfig::default().values_only(),
         );
         assert!(!seq.is_empty());
-        let mut live = Pipeline::with_options(pinned()).prepare(&base).unwrap();
+        let mut live = prepare_live(pinned(), &base);
         let before = live.plan.version();
         for (k, (_, delta)) in seq.iter().enumerate() {
             let outcome = live.apply_delta(delta).unwrap();
+            assert_fingerprint_exact(&live, &format!("zoo[{i}] delta {k}"));
             assert!(
                 matches!(outcome, DeltaOutcome::Patched { entries } if entries == delta.len()),
                 "zoo[{i}] delta {k}: values-only must take the COW patch path, got {outcome:?}"
@@ -226,10 +257,11 @@ fn structural_deltas_are_bit_identical_to_fresh_prepare() {
             },
         );
         assert!(!seq.is_empty());
-        let mut live = Pipeline::with_options(pinned()).prepare(&base).unwrap();
+        let mut live = prepare_live(pinned(), &base);
         let before = live.plan.version();
-        for (_, delta) in &seq {
+        for (k, (_, delta)) in seq.iter().enumerate() {
             let outcome = live.apply_delta(delta).unwrap();
+            assert_fingerprint_exact(&live, &format!("zoo[{i}] delta {k}"));
             match outcome {
                 DeltaOutcome::Spliced { submatrices } => {
                     assert!(submatrices > 0);
@@ -265,9 +297,10 @@ fn mixed_changeset_stream_stays_bit_identical_across_many_deltas() {
             ..ChangesetConfig::default()
         },
     );
-    let mut live = Pipeline::with_options(pinned()).prepare(&base).unwrap();
+    let mut live = prepare_live(pinned(), &base);
     for (k, (_, delta)) in seq.iter().enumerate() {
         live.apply_delta(delta).unwrap();
+        assert_fingerprint_exact(&live, &format!("mixed delta {k}"));
         // Equivalence holds at *every* intermediate state, not just the
         // final one: compare against a from-scratch prepare of the prefix.
         if k == seq.len() / 2 || k + 1 == seq.len() {
@@ -286,7 +319,7 @@ fn drift_forcing_delta_reprepares_and_still_matches() {
     // advancing monotonically through the rebuild.
     let base = zoo().remove(0);
     let opts = pinned().drift_threshold(0.0);
-    let mut live = Pipeline::with_options(opts.clone()).prepare(&base).unwrap();
+    let mut live = prepare_live(opts.clone(), &base);
     let before = live.plan.version();
     let seq = changesets(
         &base,
@@ -306,6 +339,7 @@ fn drift_forcing_delta_reprepares_and_still_matches() {
         }
         other => panic!("threshold 0 must force a re-prepare, got {other:?}"),
     }
+    assert_fingerprint_exact(&live, "drift re-prepare");
     assert_eq!(
         live.plan.version(),
         before + 1,
@@ -327,7 +361,7 @@ fn values_only_delta_under_full_integrity_verifies_against_updated_values() {
     let mut rng = SmallRng::seed_from_u64(0x57A1E);
     let base = random_coo(&mut rng, 72, 72, 300);
     let opts = pinned().integrity(IntegrityPolicy::full());
-    let mut live = Pipeline::with_options(opts.clone()).prepare(&base).unwrap();
+    let mut live = prepare_live(opts.clone(), &base);
 
     // Execute once first so the golden CSR is materialised *before* the
     // delta lands (the hazard needs an already-built golden to go stale).
@@ -336,11 +370,12 @@ fn values_only_delta_under_full_integrity_verifies_against_updated_values() {
     live.execute_batch_into(&xs, &mut warm).unwrap();
 
     let seq = changesets(&base, 0x57A1E, &ChangesetConfig::default().values_only());
-    for (_, delta) in &seq {
+    for (k, (_, delta)) in seq.iter().enumerate() {
         assert!(matches!(
             live.apply_delta(delta).unwrap(),
             DeltaOutcome::Patched { .. }
         ));
+        assert_fingerprint_exact(&live, &format!("full-integrity delta {k}"));
     }
 
     let mut got = vec![vec![0.0f32; 72]; 1];
@@ -365,6 +400,10 @@ fn values_only_delta_under_full_integrity_verifies_against_updated_values() {
     let mut want = vec![vec![0.0f32; 72]; 1];
     fresh.execute_batch_into(&xs, &mut want).unwrap();
     assert_eq!(bits(&got[0]), bits(&want[0]), "full-integrity output bits");
+    assert!(
+        live.encoded.to_bytes() == fresh.encoded.to_bytes(),
+        "full-integrity: encoded stream differs from a fresh prepare's"
+    );
 
     let mut csr_want = vec![0.0f32; 72];
     Csr::from(&mutated).spmv(&xs[0], &mut csr_want).unwrap();
@@ -380,7 +419,7 @@ fn values_only_delta_under_full_integrity_verifies_against_updated_values() {
 #[test]
 fn rejected_deltas_leave_the_plan_untouched() {
     let base = zoo().remove(0);
-    let mut live = Pipeline::with_options(pinned()).prepare(&base).unwrap();
+    let mut live = prepare_live(pinned(), &base);
     let xs = probe_batch(base.cols(), 1);
     let mut before = vec![vec![0.0f32; base.rows() as usize]; 1];
     live.execute_batch_into(&xs, &mut before).unwrap();
@@ -388,6 +427,8 @@ fn rejected_deltas_leave_the_plan_untouched() {
     // scratch that memory_bytes accounts for.
     let version = live.plan.version();
     let memory = live.plan.memory_bytes();
+    let bytes = live.encoded.to_bytes();
+    let fingerprint = live.encoded.fingerprint();
 
     let rejected = [
         // Out of bounds.
@@ -421,6 +462,16 @@ fn rejected_deltas_leave_the_plan_untouched() {
             memory,
             "rejected delta {k} repriced"
         );
+        assert!(
+            live.encoded.to_bytes() == bytes,
+            "rejected delta {k} changed the encoded stream"
+        );
+        assert_eq!(
+            live.encoded.fingerprint(),
+            fingerprint,
+            "rejected delta {k} re-keyed"
+        );
+        assert_fingerprint_exact(&live, &format!("rejected delta {k}"));
         let mut after = vec![vec![0.0f32; base.rows() as usize]; 1];
         live.execute_batch_into(&xs, &mut after).unwrap();
         assert_eq!(
