@@ -21,7 +21,6 @@ use std::time::Instant;
 
 use spasm::{Parallelism, Pipeline, PipelineOptions};
 use spasm_bench::timing::is_smoke;
-use spasm_hw::Dispatch;
 use spasm_workloads::Workload;
 
 const BATCH_SIZES: [usize; 3] = [2, 4, 8];
@@ -158,14 +157,19 @@ fn main() {
 
     // ---- Large-batch layout comparison (batch > 64) --------------------
     //
-    // Window-major: the per-instance dispatcher walks every window of one
-    // vector before moving to the next (`Dispatch::PerInstance`).
-    // Vector-blocked: the classed kernels fuse `LANE_BLOCK` vectors per
-    // instance walk (`Dispatch::Classed`), streaming the instance stream
-    // through the cache once per lane block instead of once per vector.
-    // Both are asserted bit-identical; the verdict records which layout
-    // wins at batch 128 on this host.
+    // Window-major: the per-instance reference walk applies each tile row
+    // to every vector in turn (`run_batch_reference`). Vector-blocked: the
+    // classed kernels fuse `LANE_BLOCK` vectors per instance walk
+    // (`run_batch`), streaming the instance stream through the cache once
+    // per lane block instead of once per vector. The reference is serial,
+    // so the vector-blocked side is timed on one worker too. Both are
+    // asserted bit-identical; the verdict records which layout wins at
+    // batch 128 on this host.
     let large_iters: u32 = if is_smoke() { 1 } else { 10 };
+    let serial = rayon::ThreadPoolBuilder::new()
+        .num_threads(1)
+        .build()
+        .expect("vendored shim pool builder is infallible");
     let mut large_rows: Vec<(String, usize, f64, f64)> = Vec::new();
     for w in picks {
         let m = w.generate(scale);
@@ -187,35 +191,35 @@ fn main() {
             })
             .collect();
 
-        // Bit-identity gate between the two dispatchers.
+        // Bit-identity gate between the two walks.
         let mut want = vec![vec![0.0f32; n_rows]; LARGE_BATCH];
-        plan.set_dispatch(Dispatch::PerInstance);
-        plan.run_batch(&xs, &mut want).expect("run_batch");
+        plan.run_batch_reference(&xs, &mut want)
+            .expect("run_batch_reference");
         let mut got = vec![vec![0.0f32; n_rows]; LARGE_BATCH];
-        plan.set_dispatch(Dispatch::Classed);
         plan.run_batch(&xs, &mut got).expect("run_batch");
         for (j, (g, ww)) in got.iter().zip(&want).enumerate() {
             assert_eq!(
                 g.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
                 ww.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-                "{w}: classed batch-{LARGE_BATCH} vector {j} diverged from per-instance"
+                "{w}: classed batch-{LARGE_BATCH} vector {j} diverged from the reference"
             );
         }
 
         let mut ys = vec![vec![0.0f32; n_rows]; LARGE_BATCH];
-        plan.set_dispatch(Dispatch::PerInstance);
         let window_major_s = time_per_vector(large_iters, LARGE_BATCH, || {
             for y in ys.iter_mut() {
                 y.fill(0.0);
             }
-            plan.run_batch(&xs, &mut ys).expect("run_batch");
+            plan.run_batch_reference(&xs, &mut ys)
+                .expect("run_batch_reference");
         });
-        plan.set_dispatch(Dispatch::Classed);
-        let vector_blocked_s = time_per_vector(large_iters, LARGE_BATCH, || {
-            for y in ys.iter_mut() {
-                y.fill(0.0);
-            }
-            plan.run_batch(&xs, &mut ys).expect("run_batch");
+        let vector_blocked_s = serial.install(|| {
+            time_per_vector(large_iters, LARGE_BATCH, || {
+                for y in ys.iter_mut() {
+                    y.fill(0.0);
+                }
+                plan.run_batch(&xs, &mut ys).expect("run_batch");
+            })
         });
         println!(
             "{:<14} {:>9} nnz  batch {:>3}  window-major {:>9.1} us/vec  \

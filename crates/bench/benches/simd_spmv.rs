@@ -1,6 +1,9 @@
 //! Class-kernel benchmark: the class-bucketed data-parallel executor
-//! (`Dispatch::Classed`, the default) against the legacy per-instance
-//! enum dispatcher (`Dispatch::PerInstance`) on the same prepared plan.
+//! (`ExecutionPlan::run_batch`) against the per-instance enum walk of the
+//! plan's reference module (`ExecutionPlan::run_batch_reference`) on the
+//! same prepared plan. The reference walk is serial, so the executor is
+//! timed on one worker too: the ratio measures the kernels, not the
+//! thread fan-out.
 //!
 //! The comparison isolates what the PR-7 hot-loop restructuring buys:
 //! branch-free per-class kernels over the SoA streams, contiguous 4-slot
@@ -10,7 +13,7 @@
 //! feature set was active so scalar and SIMD artifacts stay
 //! distinguishable.
 //!
-//! Both dispatchers are asserted bit-identical before timing — the
+//! Both paths are asserted bit-identical before timing — the
 //! classed executor stages per-instance outputs and scatters them in
 //! stream order, so it is the same computation, not an approximation.
 //! Results go to `BENCH_simd_spmv.json`.
@@ -24,7 +27,6 @@ use std::time::Instant;
 
 use spasm::{Parallelism, Pipeline, PipelineOptions};
 use spasm_bench::timing::is_smoke;
-use spasm_hw::Dispatch;
 use spasm_workloads::Workload;
 
 /// The serving batch width the acceptance floor is measured at.
@@ -71,6 +73,10 @@ fn main() {
         Workload::Cfd2,
     ];
     let iters: u32 = if is_smoke() { 1 } else { 50 };
+    let serial = rayon::ThreadPoolBuilder::new()
+        .num_threads(1)
+        .build()
+        .expect("vendored shim pool builder is infallible");
 
     let mut rows: Vec<Row> = Vec::new();
     for w in picks {
@@ -97,33 +103,33 @@ fn main() {
         // Bit-identity gate: the classed (and, under `simd`, SSE2) path
         // must be the same computation as the per-instance reference.
         let mut want = vec![vec![0.0f32; n_rows]; BATCH];
-        plan.set_dispatch(Dispatch::PerInstance);
-        plan.run_batch(&xs, &mut want).expect("run_batch");
+        plan.run_batch_reference(&xs, &mut want)
+            .expect("run_batch_reference");
         let mut got = vec![vec![0.0f32; n_rows]; BATCH];
-        plan.set_dispatch(Dispatch::Classed);
         plan.run_batch(&xs, &mut got).expect("run_batch");
         for (j, (g, ww)) in got.iter().zip(&want).enumerate() {
             assert_eq!(
                 g.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
                 ww.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-                "{w}: classed dispatch vector {j} diverged from per-instance"
+                "{w}: classed vector {j} diverged from the per-instance reference"
             );
         }
 
         let mut ys = vec![vec![0.0f32; n_rows]; BATCH];
-        plan.set_dispatch(Dispatch::PerInstance);
         let per_instance_s = time_batch(iters, || {
             for y in ys.iter_mut() {
                 y.fill(0.0);
             }
-            plan.run_batch(&xs, &mut ys).expect("run_batch");
+            plan.run_batch_reference(&xs, &mut ys)
+                .expect("run_batch_reference");
         });
-        plan.set_dispatch(Dispatch::Classed);
-        let classed_s = time_batch(iters, || {
-            for y in ys.iter_mut() {
-                y.fill(0.0);
-            }
-            plan.run_batch(&xs, &mut ys).expect("run_batch");
+        let classed_s = serial.install(|| {
+            time_batch(iters, || {
+                for y in ys.iter_mut() {
+                    y.fill(0.0);
+                }
+                plan.run_batch(&xs, &mut ys).expect("run_batch");
+            })
         });
 
         let row = Row {

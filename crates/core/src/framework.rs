@@ -694,34 +694,7 @@ impl Prepared {
         X: AsRef<[f32]>,
         Y: AsMut<[f32]>,
     {
-        if xs.len() != ys.len() {
-            return Err(PipelineError::DimensionMismatch {
-                expected: xs.len(),
-                actual: ys.len(),
-                operand: "batch",
-            });
-        }
-        let (rows, cols) = (self.plan.rows() as usize, self.plan.cols() as usize);
-        for (j, x) in xs.iter().enumerate() {
-            if x.as_ref().len() != cols {
-                return Err(PipelineError::BatchDimensionMismatch {
-                    vector: j,
-                    expected: cols,
-                    actual: x.as_ref().len(),
-                    operand: "x",
-                });
-            }
-        }
-        for (j, y) in ys.iter_mut().enumerate() {
-            if y.as_mut().len() != rows {
-                return Err(PipelineError::BatchDimensionMismatch {
-                    vector: j,
-                    expected: rows,
-                    actual: y.as_mut().len(),
-                    operand: "y",
-                });
-            }
-        }
+        self.plan.check_batch(xs, ys)?;
         match self.integrity.mode {
             IntegrityMode::Off => {
                 let parallelism = self.parallelism;
@@ -1092,7 +1065,7 @@ impl Prepared {
 
     /// The drift fallback: re-run the whole pipeline on the mutated
     /// matrix with the original options, preserving the current integrity
-    /// policy and dispatch mode and keeping the version stamp monotonic.
+    /// policy and keeping the version stamp monotonic.
     fn reprepare(&mut self, delta: &MatrixDelta) -> Result<(), PipelineError> {
         let (rows, cols) = (self.encoded.rows(), self.encoded.cols());
         let mutated = {
@@ -1126,10 +1099,8 @@ impl Prepared {
         };
 
         let next_version = self.plan.version() + 1;
-        let dispatch = self.plan.dispatch();
         let integrity = self.integrity;
         let mut fresh = Pipeline::with_options(self.options.clone()).prepare(&mutated)?;
-        fresh.plan.set_dispatch(dispatch);
         fresh.plan.restamp_version(next_version);
         fresh.integrity = integrity;
         *self = fresh;

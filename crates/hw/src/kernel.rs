@@ -1,7 +1,9 @@
 //! Class-bucketed, data-parallel instance kernels — the SIMD-width hot
-//! loop behind [`crate::ExecutionPlan`].
+//! loop behind [`crate::ExecutionPlan`]'s one executor.
 //!
-//! The per-instance reference loop (`process_span` in `plan.rs`) simulates
+//! The per-instance reference loop (`process_span` in the plan's
+//! `reference` module, `plan/reference.rs`, kept as the verification
+//! oracle and as [`crate::ExecutionPlan::run_batch_reference`]) simulates
 //! the 4-lane VALU with scalar software: every instance re-dispatches
 //! through its [`ValuOpcode`]'s output-mux enum, so the compiler sees an
 //! opaque, branchy body and the branch predictor sees an
@@ -22,16 +24,17 @@
 //!    order. Each instance's output is a pure function of its operands —
 //!    identical bits in any execution order — and the scatter replays the
 //!    exact accumulation sequence of the reference loop, so the window is
-//!    **bit-identical** to per-instance dispatch, including signed zeros
+//!    **bit-identical** to the reference loop, including signed zeros
 //!    and NaN payloads. No FMA contraction is used anywhere (`a*b` and
 //!    `+` stay separate IEEE ops), so no ULP bound is needed.
 //!
 //! 3. **Batch-lane fusion.** The kernels take a lane count: one walk of an
 //!    instance's metadata (bucket index, x base, value quadruple, class
 //!    selectors) feeds up to [`LANE_BLOCK`] batch vectors before moving
-//!    on. [`crate::ExecutionPlan::run_batch`] processes vector lanes in
-//!    blocks of [`LANE_BLOCK`], which keeps the staging buffer L1-resident
-//!    (the vector-blocked layout the large-batch bench measures).
+//!    on. The plan's executor processes consecutive vectors of a tile row
+//!    in blocks of up to [`LANE_BLOCK`] (a single-vector run is one
+//!    1-lane block), which keeps the staging buffer L1-resident (the
+//!    vector-blocked layout the large-batch bench measures).
 //!
 //! Under the `simd` cargo feature (x86_64) the class kernel's datapath is
 //! written with explicit SSE2 intrinsics — a 4-wide multiply, the two
@@ -108,8 +111,8 @@ impl ClassKernel {
 }
 
 /// Borrowed view of the plan's pre-decoded SoA instance stream, shared by
-/// every classed executor call (Copy so the parallel fan-out can move it
-/// into scoped workers).
+/// every kernel call (Copy so the parallel fan-out can move it into
+/// scoped workers).
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct SoaRef<'a> {
     pub x_base: &'a [u32],

@@ -52,7 +52,7 @@ pub use config::{ChannelRole, HwConfig, HBM_CHANNEL_GBS, PES_PER_GROUP, PES_PER_
 pub use integrity::{merge_health, HealthReport, IntegrityCheck, VerifyScope};
 pub use kernel::ClassRun;
 pub use pe::Pe;
-pub use plan::{Dispatch, ExecutionPlan, FrozenTile, PlanParts, PlanStreams};
+pub use plan::{ExecutionPlan, FrozenTile, PlanParts, PlanStreams};
 pub use sim::{Accelerator, BatchReport, ExecReport, SimError, Traffic};
 pub use stream::{StableBytes, Stream};
 pub use trace::{EventKind, ExecutionTrace, TraceEvent};

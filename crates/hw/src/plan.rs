@@ -14,10 +14,11 @@
 //!   never re-parses 32-bit position encodings or re-derives tile bases;
 //! * each tile row's instance span is cut into fixed-size blocks whose
 //!   indices are stably sorted by opcode class at prepare time, feeding
-//!   the branch-free class kernels of the default [`Dispatch::Classed`]
-//!   executor (see the `kernel` module) — bit-identical to the
-//!   per-instance reference walk, which [`Dispatch::PerInstance`] keeps
-//!   available for differential testing and baselining;
+//!   the branch-free class kernels (see the `kernel` module) —
+//!   bit-identical to the per-instance walk of the [`reference`] module,
+//!   which stays as the verification oracle and as
+//!   [`ExecutionPlan::run_batch_reference`] for differential tests and
+//!   baselines;
 //! * the tile-row layout (instance spans, disjoint y windows), per-tile
 //!   lane statistics, [`TileJob`]s, the LPT assignment, per-group cycles,
 //!   traffic and the full [`ExecReport`] are computed once — the report is
@@ -28,25 +29,37 @@
 //!   a steady-state [`ExecutionPlan::run`] performs no heap allocation
 //!   (asserted by the workspace's counting-allocator test).
 //!
-//! Thread fan-out across tile rows is gated on the `parallel` cargo
-//! feature and the ambient worker budget (`rayon::current_num_threads`
-//! from the vendored shim — the same budget `Parallelism` installs), with
-//! tile rows chunked contiguously and balanced by instance count. Tile
-//! rows own disjoint y windows and each row is processed in stream order,
-//! so the result is bit-identical for every thread count.
+//! A plan is assembled in one place from a tile directory plus the frozen
+//! stream sections ([`PlanParts`]): [`crate::Accelerator::prepare`]
+//! decodes them from a matrix, [`ExecutionPlan::respliced`] splices them
+//! from a predecessor plan, and [`ExecutionPlan::from_parts`] validates
+//! them out of a (possibly hostile) wire-v3 buffer.
+//!
+//! # One executor
+//!
+//! Every entry point — [`ExecutionPlan::run`], [`ExecutionPlan::run_batch`],
+//! [`ExecutionPlan::run_deferred`] and its quarantine retry — walks the
+//! same (tile-row × vector) pairs, in pair order `p = r·batch + j`; a
+//! single-vector run is the batch-1 case. Consecutive pairs of one tile
+//! row are lane-blocked through the class kernels, so one instance walk
+//! feeds up to [`ExecutionPlan::LANE_BLOCK`] vectors. The pairs are
+//! chunked contiguously, balanced by instance count: one chunk runs
+//! inline, several run on scoped threads when the `parallel` cargo feature
+//! and the ambient worker budget (`rayon::current_num_threads` from the
+//! vendored shim — the same budget `Parallelism` installs) allow. Every
+//! (tile row, vector) pair owns a disjoint packed y window that is
+//! accumulated in stream order, so the result is bit-identical for every
+//! batch size and thread count.
 //!
 //! # Batched serving
 //!
 //! [`ExecutionPlan::run_batch`] executes one prepared matrix against many
 //! x-vectors in a single call — the serving shape of iterative solvers
 //! with multiple right-hand sides and of SpMM-as-batched-SpMV inference.
-//! All vectors are padded once into a strided scratch, the pre-decoded SoA
-//! stream is walked once per tile row and applied to every vector while
-//! its instances are hot in cache, and the parallel fan-out chunks
-//! (vector × tile-row) *pairs* balanced by instance count — so small
-//! matrices with large batches still saturate threads. The per-vector
-//! output is bit-identical to looped [`ExecutionPlan::run`] calls for
-//! every batch size and thread count, and the cached report gains an
+//! All vectors are padded once into a strided scratch, and each tile row's
+//! span of the SoA stream is applied to a block of vectors while its
+//! instances are hot in cache. The per-vector output is bit-identical to
+//! looped [`ExecutionPlan::run`] calls, and the cached report gains an
 //! amortised [`BatchReport`] (initialisation and the matrix stream are
 //! paid once per batch). The value stream itself is an `Arc<[f32]>` shared
 //! with the owning [`SpasmMatrix`], so preparing several plans — or
@@ -63,13 +76,15 @@
 //! mis-executing.
 //!
 //! At run time, [`ExecutionPlan::run_deferred`] executes without touching
-//! `y`, re-verifies selected tile rows against a pristine re-computation
-//! of the stream, quarantines and re-executes rows that disagree, and
-//! returns a [`HealthReport`]; [`ExecutionPlan::commit`] then folds the
-//! (healed) result into `y`. Under the `fault-injection` cargo feature a
-//! seeded [`crate::fault::FaultPlan`] can be armed on the plan to strike
-//! the decode path deterministically; production builds carry none of
-//! that state.
+//! `y`, re-verifies selected tile rows against the pristine reference
+//! walk, quarantines and re-executes rows that disagree, and returns a
+//! [`HealthReport`]; [`ExecutionPlan::commit`] then folds the (healed)
+//! result into `y`. Under the `fault-injection` cargo feature a seeded
+//! [`crate::fault::FaultPlan`] can be armed on the plan to strike the
+//! decode path deterministically: an armed plan runs its walk as one
+//! chunk of 1-lane blocks, and each pair whose vector the plan strikes
+//! re-decodes its instances from the raw (struck) encoding words.
+//! Production builds carry none of that state.
 
 use std::sync::Arc;
 
@@ -89,26 +104,7 @@ use crate::fault::{Fault, FaultPlan};
 #[cfg(feature = "fault-injection")]
 use spasm_format::PositionEncoding;
 
-/// How [`ExecutionPlan`]'s functional pass walks the instance stream.
-///
-/// Both dispatchers produce bit-identical output for every matrix, batch
-/// size and thread count — the per-y-element accumulation order is the
-/// stream order in either case (see the `kernel` module docs for why the
-/// classed executor preserves it). [`Dispatch::Classed`] is the default;
-/// [`Dispatch::PerInstance`] is retained as the reference baseline for
-/// differential tests and scalar-vs-classed benchmarking.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Dispatch {
-    /// The reference executor: one enum-dispatched
-    /// [`ValuOpcode::execute`] per instance, in stream order.
-    PerInstance,
-    /// Class-bucketed two-pass kernels: branch-free per-class compute
-    /// into a staging buffer, then a stream-order scatter — with batch
-    /// lanes fused so one instance walk feeds up to
-    /// [`ExecutionPlan::LANE_BLOCK`] vectors.
-    #[default]
-    Classed,
-}
+mod reference;
 
 /// Everything derivable from `(matrix, config)` alone, plus reusable
 /// scratch — see the [module docs](self) for the full inventory.
@@ -148,7 +144,7 @@ pub struct ExecutionPlan {
     cols: u32,
     tile_size: u32,
     // Pre-decoded SoA instance stream, in stream (tile) order. `x_base[i]`
-    // indexes the padded x scratch; `y_base[i]` is relative to the owning
+    // indexes a padded x vector; `y_base[i]` is relative to the owning
     // tile row's y window; `op_idx[i]` is the instance's template (opcode
     // class) — an index into the `lut`/`kernels` portfolio tables, 1 byte
     // per instance instead of a full decoded `ValuOpcode`; `values` holds
@@ -175,48 +171,35 @@ pub struct ExecutionPlan {
     class_runs: Stream<ClassRun>,
     block_runs: Stream<u32>,
     row_blocks: Stream<u32>,
-    // Which executor the functional pass uses; `Dispatch::Classed` by
-    // default, the per-instance reference path kept for differential
-    // testing and baseline benchmarking.
-    dispatch: Dispatch,
-    // Per worked tile row: instance span in the stream, y window in `yp`,
-    // the tile-row id, a prefix sum of instance counts for balanced
-    // chunking, and a prefix sum of window lengths addressing the packed
-    // batch output scratch `yb`.
+    // Per worked tile row: instance span in the stream, y window in the
+    // padded output, the tile-row id, a prefix sum of instance counts for
+    // balanced chunking, and a prefix sum of window lengths addressing the
+    // packed output scratch `yb`.
     inst_ranges: Vec<(usize, usize)>,
     window_spans: Vec<(usize, usize)>,
     tile_row_ids: Vec<u32>,
-    #[cfg_attr(not(feature = "parallel"), allow(dead_code))]
     cum_instances: Vec<usize>,
     window_prefix: Vec<usize>,
     // Scheduling state, for introspection and the cached report.
     assignment: Vec<Vec<TileJob>>,
     report: ExecReport,
-    // Reusable padded scratch: `xp` for the operand, `yp` for the disjoint
-    // tile-row windows, `chunks` for the fan-out's row boundaries, and
-    // `vp`/`vq` (sized to the largest tile-row window) for the pristine
-    // verification oracle and the quarantine re-execution.
-    xp: Vec<f32>,
-    yp: Vec<f32>,
-    #[cfg_attr(not(feature = "parallel"), allow(dead_code))]
-    chunks: Vec<usize>,
-    vp: Vec<f32>,
-    vq: Vec<f32>,
-    // Staging scratch for the class-bucketed kernels: one
-    // `kernel::STAGE_STRIDE` stripe per worker (grown before a parallel
-    // fan-out; the serial stripe is allocated at build so steady-state
-    // serial runs stay allocation-free).
-    stage: Vec<f32>,
-    // Batched-run scratch, grown on first use and reused: `xb` holds every
-    // padded x vector at stride `xp.len()`; `yb` packs each (tile-row,
-    // vector) window contiguously in pair order (`window_prefix[r] * batch
-    // + j * window_len(r)`), so parallel chunks of pairs own contiguous
-    // ascending spans.
+    // Reusable scratch, sized at build for one vector so a first `run`
+    // does not allocate, and grown (then reused) by larger batches: `xb`
+    // holds every padded x vector at stride `xstride()`; `yb` packs each
+    // (tile-row, vector) window contiguously in pair order
+    // (`window_prefix[r] * batch + j * window_len(r)`), so chunks of pairs
+    // own contiguous ascending spans. `chunks` holds the fan-out's pair
+    // boundaries, `vp` (sized to the largest window) the verification
+    // oracle, and `stage` one `kernel::STAGE_STRIDE` stripe per chunk
+    // worker for the class kernels.
     xb: Vec<f32>,
     yb: Vec<f32>,
+    chunks: Vec<usize>,
+    vp: Vec<f32>,
+    stage: Vec<f32>,
     // Fault-injection state: the raw encoding words and per-instance tile
-    // column bases let the faulted executor re-decode the stream (against
-    // the shared `lut`) as the hardware would after a bit flip.
+    // column bases let the executor re-decode struck pairs (against the
+    // shared `lut`) as the hardware would after a bit flip.
     #[cfg(feature = "fault-injection")]
     enc_bits: Vec<u32>,
     #[cfg(feature = "fault-injection")]
@@ -266,10 +249,10 @@ pub struct FrozenTile {
     pub n_instances: usize,
 }
 
-/// Everything [`ExecutionPlan::from_parts`] needs to reassemble a plan
-/// from frozen streams without re-preparing: the shape and schedule
-/// inputs, the tile directory, and the eight immutable stream sections
-/// (owned or mapped — the plan executes identically either way).
+/// Everything a plan is assembled from: the shape and schedule inputs,
+/// the tile directory, and the eight immutable stream sections (owned or
+/// mapped — the plan executes identically either way).
+/// [`ExecutionPlan::from_parts`] accepts them from untrusted sources.
 #[derive(Debug)]
 pub struct PlanParts {
     /// The hardware configuration the plan prices against.
@@ -304,7 +287,7 @@ pub struct PlanParts {
     pub row_blocks: Stream<u32>,
     /// Raw 32-bit position-encoding words, one per instance. Required
     /// (`Some` with matching length) by builds with the `fault-injection`
-    /// feature, whose executors re-decode the raw stream; ignored
+    /// feature, whose executor re-decodes the raw stream; ignored
     /// otherwise.
     pub encodings: Option<Vec<u32>>,
 }
@@ -336,103 +319,116 @@ impl ExecutionPlan {
             }
         }
 
-        Self::assemble(
-            config,
-            matrix,
-            x_base,
-            y_base,
-            op_idx,
-            Stream::owned(matrix.shared_values().clone()),
-            Dispatch::default(),
-        )
+        let values = Stream::owned(matrix.shared_values().clone());
+        Self::from_matrix(config, matrix, x_base, y_base, op_idx, values)
     }
 
-    /// Assembles a plan around an already-decoded SoA instance stream:
-    /// tile-row layout, compiled portfolio, class buckets, LPT schedule,
-    /// cycle pricing and scratch — everything [`ExecutionPlan::build`]
-    /// derives after the decode loop, shared with the splice path
-    /// ([`ExecutionPlan::respliced`]) so both produce identical plans.
+    /// Freezes a validated matrix's directory around an already-decoded
+    /// SoA instance stream — bucketing it by class — and assembles the
+    /// plan. Shared by [`ExecutionPlan::build`] and
+    /// [`ExecutionPlan::respliced`], so both produce identical plans.
     ///
     /// `x_base`/`y_base`/`op_idx` must agree with `matrix`'s stream (the
     /// callers either decode them from it or splice spans that decode
     /// equal).
-    fn assemble(
+    fn from_matrix(
         config: HwConfig,
         matrix: &SpasmMatrix,
         x_base: Vec<u32>,
         y_base: Vec<u32>,
         op_idx: Vec<u8>,
         values: Stream<f32>,
-        dispatch: Dispatch,
     ) -> Result<Self, SimError> {
-        let tile_size = matrix.tile_size();
-        let xp_len = (matrix.cols() as usize).div_ceil(4) * 4;
-        let yp_len = (matrix.rows() as usize).div_ceil(4) * 4;
-        let n = matrix.n_instances();
-
-        // Contiguous spans of same-tile-row tiles, in stream order.
-        let mut row_spans: Vec<(u32, usize, usize)> = Vec::new(); // (row, first, last)
-        for (i, tile) in matrix.tiles().iter().enumerate() {
-            match row_spans.last_mut() {
-                Some((row, _, end)) if *row == tile.tile_row => *end = i + 1,
-                _ => row_spans.push((tile.tile_row, i, i + 1)),
-            }
-        }
-
-        // Per-tile lane statistics for the LPT schedule, read back from
-        // the SoA form (`y_base[i] / 4` is the instance's `r_idx`).
-        let mut jobs = Vec::with_capacity(matrix.tiles().len());
-        for tile in matrix.tiles() {
-            let mut lanes = [0usize; 16];
-            for i in tile.first_instance..tile.first_instance + tile.n_instances {
-                lanes[(y_base[i] as usize / 4) % 16] += 1;
-            }
-            jobs.push(TileJob {
-                tile_row: tile.tile_row,
-                tile_col: tile.tile_col,
-                n_instances: tile.n_instances,
-                max_lane_instances: timing::max_lane(&lanes),
-            });
-        }
-
+        let tiles: Vec<FrozenTile> = matrix
+            .tiles()
+            .iter()
+            .map(|t| FrozenTile {
+                row: t.tile_row,
+                col: t.tile_col,
+                first_instance: t.first_instance,
+                n_instances: t.n_instances,
+            })
+            .collect();
+        let ranges: Vec<(usize, usize)> = worked_rows(&tiles)
+            .into_iter()
+            .map(|(_, i0, i1)| (i0, i1))
+            .collect();
+        let (bucket_idx, class_runs, block_runs, row_blocks) =
+            kernel::build_buckets(&ranges, &op_idx);
         // Fault-injection builds carry the raw encoding words so the
-        // faulted executors can re-decode the stream. These always come
-        // from the (current) matrix — after a splice, CE/RE flags of
-        // untouched tiles may have changed, so spans cannot be reused.
-        #[cfg(feature = "fault-injection")]
-        let (enc_bits, col_bases) = {
-            let mut enc_bits = Vec::with_capacity(n);
-            let mut col_bases = Vec::with_capacity(n);
-            for tile in matrix.tiles() {
-                let col_base = tile.tile_col * tile_size;
-                for e in
-                    &matrix.encodings()[tile.first_instance..tile.first_instance + tile.n_instances]
-                {
-                    enc_bits.push(e.bits());
-                    col_bases.push(col_base);
-                }
-            }
-            (enc_bits, col_bases)
-        };
+        // executor can re-decode struck pairs. These always come from the
+        // (current) matrix — after a splice, CE/RE flags of untouched
+        // tiles may have changed, so spans cannot be reused.
+        let encodings = cfg!(feature = "fault-injection")
+            .then(|| matrix.encodings().iter().map(|e| e.bits()).collect());
+        Self::assemble(PlanParts {
+            config,
+            rows: matrix.rows(),
+            cols: matrix.cols(),
+            tile_size: matrix.tile_size(),
+            nnz: matrix.nnz() as u64,
+            template_masks: matrix.template_masks().to_vec(),
+            tiles,
+            x_base: Stream::from_vec(x_base),
+            y_base: Stream::from_vec(y_base),
+            op_idx: Stream::from_vec(op_idx),
+            values,
+            bucket_idx: Stream::from_vec(bucket_idx),
+            class_runs: Stream::from_vec(class_runs),
+            block_runs: Stream::from_vec(block_runs),
+            row_blocks: Stream::from_vec(row_blocks),
+            encodings,
+        })
+    }
+
+    /// Assembles a plan around consistent parts: tile-row layout,
+    /// compiled portfolio, LPT schedule, cycle pricing and scratch —
+    /// everything derived from the directory and the streams. The one
+    /// constructor core behind `build`, `respliced` and `from_parts`.
+    ///
+    /// The parts must satisfy every invariant [`ExecutionPlan::from_parts`]
+    /// checks (its callers either establish them by construction or have
+    /// just validated them).
+    fn assemble(parts: PlanParts) -> Result<Self, SimError> {
+        let PlanParts {
+            config,
+            rows,
+            cols,
+            tile_size,
+            nnz,
+            template_masks,
+            tiles,
+            x_base,
+            y_base,
+            op_idx,
+            values,
+            bucket_idx,
+            class_runs,
+            block_runs,
+            row_blocks,
+            encodings: _encodings,
+        } = parts;
+        let xp_len = (cols as usize).div_ceil(4) * 4;
+        let yp_len = (rows as usize).div_ceil(4) * 4;
+        let n = op_idx.len();
 
         // Tile-row layout: instance spans (tiles of a row are contiguous
-        // in the stream) and disjoint y windows over the padded scratch.
+        // in the stream) and disjoint y windows over the padded output.
+        let row_spans = worked_rows(&tiles);
         let mut inst_ranges = Vec::with_capacity(row_spans.len());
         let mut window_spans = Vec::with_capacity(row_spans.len());
         let mut tile_row_ids = Vec::with_capacity(row_spans.len());
         let mut cum_instances = Vec::with_capacity(row_spans.len() + 1);
-        let mut running = 0usize;
-        cum_instances.push(running);
-        for &(row, first, last) in &row_spans {
-            let i0 = matrix.tiles()[first].first_instance;
-            let t = &matrix.tiles()[last - 1];
-            let i1 = t.first_instance + t.n_instances;
+        let mut window_prefix = Vec::with_capacity(row_spans.len() + 1);
+        cum_instances.push(0usize);
+        window_prefix.push(0usize);
+        for &(row, i0, i1) in &row_spans {
             inst_ranges.push((i0, i1));
-            running += i1 - i0;
-            cum_instances.push(running);
-            let start = (row * tile_size) as usize;
-            let end = (((row + 1) * tile_size) as usize).min(yp_len);
+            cum_instances.push(cum_instances[cum_instances.len() - 1] + (i1 - i0));
+            let start = (row as usize) * tile_size as usize;
+            let end = ((row as usize + 1) * tile_size as usize).min(yp_len);
             window_spans.push((start, end));
+            window_prefix.push(window_prefix[window_prefix.len() - 1] + (end - start));
             tile_row_ids.push(row);
         }
         let max_window = window_spans
@@ -440,40 +436,43 @@ impl ExecutionPlan {
             .map(|&(start, end)| end - start)
             .max()
             .unwrap_or(0);
-        let mut window_prefix = Vec::with_capacity(window_spans.len() + 1);
-        window_prefix.push(0usize);
-        let mut wsum = 0usize;
-        for &(start, end) in &window_spans {
-            wsum += end - start;
-            window_prefix.push(wsum);
-        }
 
-        // Compiled portfolio tables (the PE's opcode LUT, shared by the
-        // faulted decoder, plus the class kernels), and the prepare-time
-        // pattern-class bucketing over the instance stream.
-        let lut = matrix
-            .template_masks()
+        // Compiled portfolio tables: the PE's opcode LUT (shared by the
+        // reference walk and the faulted decoder) plus the class kernels.
+        let lut = template_masks
             .iter()
             .map(|&m| ValuOpcode::compile(m))
             .collect::<Result<Vec<_>, _>>()?;
         let kernels: Vec<ClassKernel> =
             lut.iter().map(|&op| ClassKernel::from_opcode(op)).collect();
-        let (bucket_idx, class_runs, block_runs, row_blocks) =
-            kernel::build_buckets(&inst_ranges, &op_idx);
 
-        // Timing: the same LPT assignment and cycle pricing the per-run
-        // simulator used, computed once.
-        let worked_row_heights = row_spans.iter().map(|&(row, _, _)| {
-            (matrix.rows() - (row * tile_size).min(matrix.rows())).min(tile_size)
-        });
+        // Timing: per-tile lane statistics for the LPT schedule, read back
+        // from the SoA form (`y_base[i] / 4` is the instance's `r_idx`),
+        // then the same assignment and cycle pricing the per-run simulator
+        // used, computed once.
+        let mut jobs = Vec::with_capacity(tiles.len());
+        for t in &tiles {
+            let mut lanes = [0usize; 16];
+            for i in t.first_instance..t.first_instance + t.n_instances {
+                lanes[(y_base[i] as usize / 4) % 16] += 1;
+            }
+            jobs.push(TileJob {
+                tile_row: t.row,
+                tile_col: t.col,
+                n_instances: t.n_instances,
+                max_lane_instances: timing::max_lane(&lanes),
+            });
+        }
+        let worked_row_heights = row_spans
+            .iter()
+            .map(|&(row, _, _)| (rows - (row * tile_size).min(rows)).min(tile_size));
         let y_traffic = timing::y_bytes(worked_row_heights);
-        let x_traffic = matrix.tiles().len() as u64 * u64::from(tile_size) * 4;
+        let x_traffic = tiles.len() as u64 * u64::from(tile_size) * 4;
         let assignment = timing::lpt_assign(jobs, config.num_pe_groups, tile_size, &config);
         let per_group_cycles: Vec<u64> = assignment
             .iter()
             .map(|a| timing::group_cycles(a, tile_size, &config))
             .collect();
-
         let traffic = Traffic {
             matrix: 20 * n as u64,
             x: x_traffic,
@@ -481,7 +480,7 @@ impl ExecutionPlan {
         };
         let cycles = timing::total_cycles(&per_group_cycles, y_traffic, &config);
         let seconds = config.cycles_to_seconds(cycles);
-        let flops = 2.0 * matrix.nnz() as f64 + matrix.rows() as f64;
+        let flops = 2.0 * nnz as f64 + rows as f64;
         let gflops = flops / seconds / 1e9;
         let achieved_bandwidth_gbs = traffic.total() as f64 / seconds / 1e9;
         let compute_utilization = gflops / config.peak_gflops();
@@ -501,21 +500,26 @@ impl ExecutionPlan {
             batch: None,
         };
 
+        #[cfg(feature = "fault-injection")]
+        let col_base = tiles
+            .iter()
+            .flat_map(|t| std::iter::repeat_n(t.col * tile_size, t.n_instances))
+            .collect();
+        let window_total = window_prefix[window_prefix.len() - 1];
         Ok(ExecutionPlan {
-            rows: matrix.rows(),
-            cols: matrix.cols(),
+            rows,
+            cols,
             tile_size,
-            x_base: Stream::from_vec(x_base),
-            y_base: Stream::from_vec(y_base),
-            op_idx: Stream::from_vec(op_idx),
+            x_base,
+            y_base,
+            op_idx,
             lut,
             kernels,
             values,
-            bucket_idx: Stream::from_vec(bucket_idx),
-            class_runs: Stream::from_vec(class_runs),
-            block_runs: Stream::from_vec(block_runs),
-            row_blocks: Stream::from_vec(row_blocks),
-            dispatch,
+            bucket_idx,
+            class_runs,
+            block_runs,
+            row_blocks,
             inst_ranges,
             window_spans,
             tile_row_ids,
@@ -523,18 +527,15 @@ impl ExecutionPlan {
             window_prefix,
             assignment,
             report,
-            xp: vec![0.0; xp_len],
-            yp: vec![0.0; yp_len],
+            xb: vec![0.0; xp_len],
+            yb: vec![0.0; window_total],
             chunks: Vec::with_capacity(worker_budget().max(1) + 1),
             vp: vec![0.0; max_window],
-            vq: vec![0.0; max_window],
             stage: vec![0.0; kernel::STAGE_STRIDE],
-            xb: Vec::new(),
-            yb: Vec::new(),
             #[cfg(feature = "fault-injection")]
-            enc_bits,
+            enc_bits: _encodings.unwrap_or_default(),
             #[cfg(feature = "fault-injection")]
-            col_base: col_bases,
+            col_base,
             #[cfg(feature = "fault-injection")]
             armed: None,
             #[cfg(feature = "fault-injection")]
@@ -594,7 +595,7 @@ impl ExecutionPlan {
     /// new stream. Derived state (buckets, schedule, pricing, scratch)
     /// is rebuilt exactly as a fresh prepare would, so the result is
     /// bit-identical to preparing the mutated matrix from scratch, with
-    /// the [`Dispatch`] setting preserved and the version bumped.
+    /// the version bumped.
     ///
     /// # Errors
     ///
@@ -662,21 +663,13 @@ impl ExecutionPlan {
 
         let values =
             Stream::owned(matrix.shared_values().clone()).with_version(self.values.version() + 1);
-        Self::assemble(
-            self.config.clone(),
-            matrix,
-            x_base,
-            y_base,
-            op_idx,
-            values,
-            self.dispatch,
-        )
+        Self::from_matrix(self.config.clone(), matrix, x_base, y_base, op_idx, values)
     }
 
     /// Reassembles an executable plan from frozen parts — the wire-v3
     /// load path. The streams may be owned or mapped; either way the
     /// resulting plan executes bit-identically to one built by
-    /// `prepare` from the same matrix, through the same dispatch paths.
+    /// `prepare` from the same matrix.
     ///
     /// Every structural invariant `build` establishes by construction is
     /// checked here instead, because the parts may come from a hostile or
@@ -686,13 +679,13 @@ impl ExecutionPlan {
     /// (blocks partition each tile row, runs partition each block,
     /// indices are an in-block permutation agreeing with `op_idx`).
     /// Derived state (portfolio LUT, tile-row layout, LPT schedule,
-    /// report, scratch) is rebuilt exactly as `build` does.
+    /// report, scratch) is then assembled by the same code `build` uses.
     ///
     /// # Errors
     ///
     /// [`SimError::Plan`] naming the violated invariant; never panics.
-    pub fn from_parts(parts: PlanParts) -> Result<Self, SimError> {
-        let config = parts.config.checked().map_err(SimError::Plan)?;
+    pub fn from_parts(mut parts: PlanParts) -> Result<Self, SimError> {
+        parts.config = parts.config.checked().map_err(SimError::Plan)?;
         let tile_size = parts.tile_size;
         if tile_size == 0 || !tile_size.is_multiple_of(4) {
             return Err(SimError::Plan("tile size must be a positive multiple of 4"));
@@ -772,58 +765,19 @@ impl ExecutionPlan {
             }
         }
 
-        // Tile-row layout, exactly as `build` derives it.
-        let mut row_spans: Vec<(u32, usize, usize)> = Vec::new();
-        for (i, t) in parts.tiles.iter().enumerate() {
-            match row_spans.last_mut() {
-                Some((row, _, end)) if *row == t.row => *end = i + 1,
-                _ => row_spans.push((t.row, i, i + 1)),
-            }
-        }
-        let mut inst_ranges = Vec::with_capacity(row_spans.len());
-        let mut window_spans = Vec::with_capacity(row_spans.len());
-        let mut tile_row_ids = Vec::with_capacity(row_spans.len());
-        let mut cum_instances = Vec::with_capacity(row_spans.len() + 1);
-        let mut running = 0usize;
-        cum_instances.push(running);
-        for &(row, first, last) in &row_spans {
-            let i0 = parts.tiles[first].first_instance;
-            let t = &parts.tiles[last - 1];
-            let i1 = t.first_instance + t.n_instances;
-            inst_ranges.push((i0, i1));
-            running += i1 - i0;
-            cum_instances.push(running);
-            let start = (row as usize) * tile_size as usize;
-            let end = ((row as usize + 1) * tile_size as usize).min(yp_len);
-            window_spans.push((start, end));
-            tile_row_ids.push(row);
-        }
-        let max_window = window_spans
-            .iter()
-            .map(|&(start, end)| end - start)
-            .max()
-            .unwrap_or(0);
-        let mut window_prefix = Vec::with_capacity(window_spans.len() + 1);
-        window_prefix.push(0usize);
-        let mut wsum = 0usize;
-        for &(start, end) in &window_spans {
-            wsum += end - start;
-            window_prefix.push(wsum);
-        }
-
         // Bucket directory: blocks partition each tile row, runs
         // partition each block with strictly ascending classes, and each
         // block's indices are a permutation of its instance span whose
         // classes agree with `op_idx`.
+        let row_spans = worked_rows(&parts.tiles);
         let bucket_idx = &parts.bucket_idx;
         let class_runs = &parts.class_runs;
         let block_runs = &parts.block_runs;
         let row_blocks = &parts.row_blocks;
-        let n_tile_rows = inst_ranges.len();
-        if row_blocks.len() != n_tile_rows + 1 || row_blocks.first() != Some(&0) {
+        if row_blocks.len() != row_spans.len() + 1 || row_blocks.first() != Some(&0) {
             return Err(SimError::Plan("row-block prefix has the wrong shape"));
         }
-        for (r, &(i0, i1)) in inst_ranges.iter().enumerate() {
+        for (r, &(_, i0, i1)) in row_spans.iter().enumerate() {
             let want = (i1 - i0).div_ceil(kernel::EXEC_BLOCK) as u32;
             if row_blocks[r + 1].checked_sub(row_blocks[r]) != Some(want) {
                 return Err(SimError::Plan("row-block prefix disagrees with the layout"));
@@ -839,7 +793,7 @@ impl ExecutionPlan {
         }
         let mut seen = vec![u32::MAX; kernel::EXEC_BLOCK];
         let mut b = 0usize;
-        for &(i0, i1) in &inst_ranges {
+        for &(_, i0, i1) in &row_spans {
             let mut blk_i0 = i0;
             while blk_i0 < i1 {
                 let blk_i1 = (blk_i0 + kernel::EXEC_BLOCK).min(i1);
@@ -890,122 +844,19 @@ impl ExecutionPlan {
         // Fault-injection builds re-decode the raw encoding words; they
         // are part of the frozen form there.
         #[cfg(feature = "fault-injection")]
-        let (enc_bits, col_bases) = {
-            let enc = parts.encodings.ok_or(SimError::Plan(
-                "fault-injection builds need the encoding words",
-            ))?;
-            if enc.len() != n {
-                return Err(SimError::Plan("encoding-word section length disagrees"));
+        match &parts.encodings {
+            None => {
+                return Err(SimError::Plan(
+                    "fault-injection builds need the encoding words",
+                ))
             }
-            let mut col_bases = Vec::with_capacity(n);
-            for t in &parts.tiles {
-                for _ in 0..t.n_instances {
-                    col_bases.push(t.col * tile_size);
-                }
+            Some(enc) if enc.len() != n => {
+                return Err(SimError::Plan("encoding-word section length disagrees"))
             }
-            (enc, col_bases)
-        };
-        #[cfg(not(feature = "fault-injection"))]
-        let _ = parts.encodings;
-
-        // Compiled portfolio and timing, exactly as `build` computes them.
-        let lut = parts
-            .template_masks
-            .iter()
-            .map(|&m| ValuOpcode::compile(m))
-            .collect::<Result<Vec<_>, _>>()?;
-        let kernels: Vec<ClassKernel> =
-            lut.iter().map(|&op| ClassKernel::from_opcode(op)).collect();
-        let mut jobs = Vec::with_capacity(parts.tiles.len());
-        for t in &parts.tiles {
-            let mut lanes = [0usize; 16];
-            for i in t.first_instance..t.first_instance + t.n_instances {
-                lanes[(y_base[i] as usize / 4) % 16] += 1;
-            }
-            jobs.push(TileJob {
-                tile_row: t.row,
-                tile_col: t.col,
-                n_instances: t.n_instances,
-                max_lane_instances: timing::max_lane(&lanes),
-            });
+            Some(_) => {}
         }
-        let worked_row_heights = row_spans
-            .iter()
-            .map(|&(row, _, _)| (parts.rows - (row * tile_size).min(parts.rows)).min(tile_size));
-        let y_traffic = timing::y_bytes(worked_row_heights);
-        let x_traffic = parts.tiles.len() as u64 * ts64 * 4;
-        let assignment = timing::lpt_assign(jobs, config.num_pe_groups, tile_size, &config);
-        let per_group_cycles: Vec<u64> = assignment
-            .iter()
-            .map(|a| timing::group_cycles(a, tile_size, &config))
-            .collect();
-        let traffic = Traffic {
-            matrix: 20 * n as u64,
-            x: x_traffic,
-            y: y_traffic,
-        };
-        let cycles = timing::total_cycles(&per_group_cycles, y_traffic, &config);
-        let seconds = config.cycles_to_seconds(cycles);
-        let flops = 2.0 * parts.nnz as f64 + parts.rows as f64;
-        let gflops = flops / seconds / 1e9;
-        let achieved_bandwidth_gbs = traffic.total() as f64 / seconds / 1e9;
-        let compute_utilization = gflops / config.peak_gflops();
-        let estimated_power_w = config.power_estimate_w(compute_utilization);
-        let report = ExecReport {
-            cycles,
-            seconds,
-            gflops,
-            achieved_bandwidth_gbs,
-            compute_utilization,
-            bandwidth_utilization: achieved_bandwidth_gbs / config.bandwidth_gbs(),
-            per_group_cycles,
-            traffic,
-            estimated_power_w,
-            energy_j: estimated_power_w * seconds,
-            health: HealthReport::default(),
-            batch: None,
-        };
 
-        Ok(ExecutionPlan {
-            rows: parts.rows,
-            cols: parts.cols,
-            tile_size,
-            x_base: parts.x_base,
-            y_base: parts.y_base,
-            op_idx: parts.op_idx,
-            lut,
-            kernels,
-            values: parts.values,
-            bucket_idx: parts.bucket_idx,
-            class_runs: parts.class_runs,
-            block_runs: parts.block_runs,
-            row_blocks: parts.row_blocks,
-            dispatch: Dispatch::default(),
-            inst_ranges,
-            window_spans,
-            tile_row_ids,
-            cum_instances,
-            window_prefix,
-            assignment,
-            report,
-            xp: vec![0.0; xp_len],
-            yp: vec![0.0; yp_len],
-            chunks: Vec::with_capacity(worker_budget().max(1) + 1),
-            vp: vec![0.0; max_window],
-            vq: vec![0.0; max_window],
-            stage: vec![0.0; kernel::STAGE_STRIDE],
-            xb: Vec::new(),
-            yb: Vec::new(),
-            #[cfg(feature = "fault-injection")]
-            enc_bits,
-            #[cfg(feature = "fault-injection")]
-            col_base: col_bases,
-            #[cfg(feature = "fault-injection")]
-            armed: None,
-            #[cfg(feature = "fault-injection")]
-            active_lane: 0,
-            config,
-        })
+        Self::assemble(parts)
     }
 
     /// The hardware configuration this plan was priced on.
@@ -1029,10 +880,10 @@ impl ExecutionPlan {
     }
 
     /// Instances per execution block: the pattern-class bucketing (and
-    /// kernel staging) granule of the classed dispatcher.
+    /// kernel staging) granule of the class kernels.
     pub const EXEC_BLOCK: usize = kernel::EXEC_BLOCK;
 
-    /// Batch vectors fused per instance walk by the classed dispatcher.
+    /// Batch vectors fused per instance walk by the class kernels.
     pub const LANE_BLOCK: usize = kernel::LANE_BLOCK;
 
     /// Template instances in the pre-decoded stream.
@@ -1045,27 +896,14 @@ impl ExecutionPlan {
         self.inst_ranges.len()
     }
 
-    /// Selects the executor for subsequent runs (default
-    /// [`Dispatch::Classed`]). Output bits are unaffected — both
-    /// dispatchers are bit-identical; this exists for differential
-    /// testing and baseline benchmarking.
-    pub fn set_dispatch(&mut self, dispatch: Dispatch) {
-        self.dispatch = dispatch;
-    }
-
-    /// The active executor (see [`ExecutionPlan::set_dispatch`]).
-    pub fn dispatch(&self) -> Dispatch {
-        self.dispatch
-    }
-
     /// The instance span of worked tile row `r` in the pre-decoded
     /// stream, if `r` is in range.
     pub fn instance_range(&self, r: usize) -> Option<(usize, usize)> {
         self.inst_ranges.get(r).copied()
     }
 
-    /// The classed dispatcher's execution order: instance indices,
-    /// block-wise stably sorted by opcode class. Each
+    /// The class kernels' execution order: instance indices, block-wise
+    /// stably sorted by opcode class. Each
     /// [`ExecutionPlan::EXEC_BLOCK`]-aligned slice of a tile row's span
     /// is a permutation of the corresponding stream positions (the
     /// bucketing property test pins this down).
@@ -1073,8 +911,8 @@ impl ExecutionPlan {
         &self.bucket_idx
     }
 
-    /// Per-instance opcode class: the template LUT index driving both
-    /// dispatchers (1 byte per instance).
+    /// Per-instance opcode class: the template LUT index driving both the
+    /// class kernels and the reference walk (1 byte per instance).
     pub fn opcode_classes(&self) -> &[u8] {
         &self.op_idx
     }
@@ -1119,10 +957,9 @@ impl ExecutionPlan {
     pub fn run(&mut self, x: &[f32], y: &mut [f32]) -> Result<&ExecReport, SimError> {
         self.check_x(x)?;
         self.check_y(y)?;
-        self.load_and_execute(x);
-        self.report.health = self.armed_health();
+        self.report.health = self.execute(&[x], self.single_lane());
         self.report.batch = None;
-        self.add_into(y);
+        self.commit_into(&mut [y]);
         Ok(&self.report)
     }
 
@@ -1130,11 +967,11 @@ impl ExecutionPlan {
     /// call — the serving shape of multi-RHS solvers and
     /// SpMM-as-batched-SpMV inference.
     ///
-    /// All x-vectors are padded once into a strided scratch; the
-    /// pre-decoded instance stream is then walked once per tile row and
-    /// applied to every vector while it is hot in cache, instead of being
+    /// All x-vectors are padded once into a strided scratch; each tile
+    /// row's span of the pre-decoded instance stream is then applied to
+    /// blocks of vectors while it is hot in cache, instead of being
     /// re-streamed per vector. Under the `parallel` feature the fan-out
-    /// chunks (vector × tile-row) pairs balanced by instance count, so a
+    /// chunks (tile-row × vector) pairs balanced by instance count, so a
     /// small matrix with a large batch still saturates threads. Each
     /// output is bit-identical to a looped [`ExecutionPlan::run`] over the
     /// same vectors, for every batch size and thread count, and the scratch
@@ -1146,19 +983,36 @@ impl ExecutionPlan {
     /// paid once per batch).
     ///
     /// Armed faults (under the `fault-injection` feature) strike batched
-    /// execution too: the batch degrades to a deterministic vector-serial
-    /// pass so fault application order matches looped [`ExecutionPlan::run`]
-    /// calls, with plans armed via `arm_faults_for_vector` striking only
-    /// their target vector.
+    /// execution exactly as they strike looped [`ExecutionPlan::run`]
+    /// calls acting for each vector's lane: plans armed via
+    /// `arm_faults_for_vector` strike only their target vector, and the
+    /// report's injection counts sum over the struck vectors.
+    ///
+    /// # Errors
+    ///
+    /// As [`ExecutionPlan::check_batch`]: all shapes are validated up
+    /// front, so on error no output vector has been touched.
+    pub fn run_batch<X, Y>(&mut self, xs: &[X], ys: &mut [Y]) -> Result<&ExecReport, SimError>
+    where
+        X: AsRef<[f32]>,
+        Y: AsMut<[f32]>,
+    {
+        self.check_batch(xs, ys)?;
+        self.report.health = self.execute(xs, 0);
+        self.commit_into(ys);
+        self.stamp_batch(xs.len());
+        Ok(&self.report)
+    }
+
+    /// Validates a batch's shapes against the plan, touching nothing.
     ///
     /// # Errors
     ///
     /// [`SimError::DimensionMismatch`] when `xs` and `ys` disagree in
     /// length (operand `"batch"`), or [`SimError::BatchDimensionMismatch`]
-    /// naming the offending vector index when any individual vector has
-    /// the wrong length. All shapes are validated up front: on error no
-    /// output vector has been touched.
-    pub fn run_batch<X, Y>(&mut self, xs: &[X], ys: &mut [Y]) -> Result<&ExecReport, SimError>
+    /// naming the first offending vector index (x vectors checked before
+    /// y vectors) when any individual vector has the wrong length.
+    pub fn check_batch<X, Y>(&self, xs: &[X], ys: &mut [Y]) -> Result<(), SimError>
     where
         X: AsRef<[f32]>,
         Y: AsMut<[f32]>,
@@ -1190,19 +1044,7 @@ impl ExecutionPlan {
                 });
             }
         }
-
-        #[cfg(feature = "fault-injection")]
-        if self.armed.is_some() {
-            return self.run_batch_faulted(xs, ys);
-        }
-
-        let batch = xs.len();
-        self.load_batch(xs);
-        self.execute_batch_rows(batch);
-        self.add_into_batch(ys);
-        self.report.health = HealthReport::default();
-        self.stamp_batch(batch);
-        Ok(&self.report)
+        Ok(())
     }
 
     /// Stamps the cached report with amortised pricing for a
@@ -1231,7 +1073,7 @@ impl ExecutionPlan {
 
     /// Executes `A·x` into the plan's internal window buffer *without*
     /// touching `y`, then re-verifies the tile rows selected by `scope`
-    /// against a pristine re-computation of the stream.
+    /// against the pristine reference walk.
     ///
     /// Rows whose output disagrees are quarantined and re-executed once
     /// from the pristine stream (persistent lane faults remain in effect);
@@ -1249,22 +1091,23 @@ impl ExecutionPlan {
         scope: VerifyScope<'_>,
     ) -> Result<HealthReport, SimError> {
         self.check_x(x)?;
-        self.load_and_execute(x);
-        let health = self.verify_and_heal(scope);
+        let mut health = self.execute(&[x], self.single_lane());
+        self.verify_and_heal(scope, &mut health);
         self.report.health = health;
         self.report.batch = None;
         Ok(health)
     }
 
     /// Folds the result of the last [`ExecutionPlan::run_deferred`] into
-    /// `y` (`y += A·x`) and returns the cached report.
+    /// `y` (`y += A·x`) and returns the cached report. Any execution in
+    /// between replaces that result: all entry points share one scratch.
     ///
     /// # Errors
     ///
     /// [`SimError::DimensionMismatch`] if `y` has the wrong length.
     pub fn commit(&mut self, y: &mut [f32]) -> Result<&ExecReport, SimError> {
         self.check_y(y)?;
-        self.add_into(y);
+        self.commit_into(&mut [y]);
         Ok(&self.report)
     }
 
@@ -1275,7 +1118,12 @@ impl ExecutionPlan {
     /// execution; used for sampled residual cross-checks against a golden
     /// reference before committing.
     pub fn contribution(&self, row: usize) -> f32 {
-        self.yp.get(row).copied().unwrap_or(0.0)
+        if row >= self.rows as usize {
+            return 0.0;
+        }
+        self.tile_row_index_containing(row).map_or(0.0, |r| {
+            self.yb[self.window_prefix[r] + row - self.window_spans[r].0]
+        })
     }
 
     /// The index (into the plan's worked tile rows, as accepted by
@@ -1313,7 +1161,7 @@ impl ExecutionPlan {
     /// any sibling plans, but it is counted here in full so the figure is
     /// a safe upper bound for cache budgeting — evicting the plan may or
     /// may not actually free those bytes depending on other holders.
-    /// Buffer lengths (not capacities) are counted, and the batch scratch
+    /// Buffer lengths (not capacities) are counted, and the x/y scratch
     /// `xb`/`yb` grows with the largest batch seen, so the figure can
     /// grow across calls.
     pub fn memory_bytes(&self) -> usize {
@@ -1325,13 +1173,7 @@ impl ExecutionPlan {
                 std::mem::size_of_val(&**s)
             }
         }
-        let f32s = self.xp.len()
-            + self.yp.len()
-            + self.vp.len()
-            + self.vq.len()
-            + self.stage.len()
-            + self.xb.len()
-            + self.yb.len();
+        let f32s = self.xb.len() + self.yb.len() + self.vp.len() + self.stage.len();
         let bytes = size_of::<Self>()
             + f32s * size_of::<f32>()
             + owned(&self.values)
@@ -1424,29 +1266,56 @@ impl ExecutionPlan {
         Ok(())
     }
 
-    /// Loads `x` into the padded scratch and executes all tile rows into
-    /// the (zeroed) window buffer.
-    fn load_and_execute(&mut self, x: &[f32]) {
-        // The scratch tails beyond `x.len()` / the worked windows stay
-        // zero from construction, as the hardware's aligned buffers do.
-        self.xp[..x.len()].copy_from_slice(x);
-        self.yp.fill(0.0);
-        self.execute_tile_rows();
+    /// Padded length of one x vector: the stride of `xb`.
+    fn xstride(&self) -> usize {
+        (self.cols as usize).div_ceil(4) * 4
     }
 
-    fn add_into(&mut self, y: &mut [f32]) {
-        for (dst, src) in y.iter_mut().zip(&self.yp) {
-            *dst += *src;
+    /// The batch lane single-vector executions act for (always 0 without
+    /// fault injection).
+    fn single_lane(&self) -> usize {
+        #[cfg(feature = "fault-injection")]
+        return self.active_lane;
+        #[cfg(not(feature = "fault-injection"))]
+        0
+    }
+
+    /// Whether a fault plan is armed (never, without fault injection).
+    fn is_armed(&self) -> bool {
+        #[cfg(feature = "fault-injection")]
+        return self.armed.is_some();
+        #[cfg(not(feature = "fault-injection"))]
+        false
+    }
+
+    /// Injection-level health of a pass whose vectors act for lanes
+    /// `first_lane..first_lane + vectors`: what is armed on the plan,
+    /// summed over the vectors it strikes, before any verification has
+    /// looked at the output.
+    #[cfg_attr(not(feature = "fault-injection"), allow(unused_variables))]
+    fn injected_health(&self, first_lane: usize, vectors: usize) -> HealthReport {
+        #[cfg(feature = "fault-injection")]
+        if let Some(af) = &self.armed {
+            let struck = (first_lane..first_lane + vectors)
+                .filter(|&lane| af.strikes_lane(lane))
+                .count() as u32;
+            return HealthReport {
+                faults_injected: af.applied * struck,
+                stall_cycles: af.stall_cycles * u64::from(struck),
+                ..HealthReport::default()
+            };
         }
+        HealthReport::default()
     }
 
-    /// Pads every x vector into the strided batch scratch and zeroes the
-    /// active region of the packed window scratch. Both buffers grow on
-    /// first use and are reused afterwards; the pad lanes beyond each
-    /// vector's `cols` entries are written zero at growth and never
-    /// touched again (every accepted x has exactly `cols` entries).
-    fn load_batch<X: AsRef<[f32]>>(&mut self, xs: &[X]) {
-        let xstride = self.xp.len();
+    /// Pads every x vector into the strided scratch `xb` and zeroes the
+    /// active region of the packed window scratch `yb`. Both buffers grow
+    /// on first use at a larger batch and are reused afterwards; the pad
+    /// lanes beyond each vector's `cols` entries are written zero at
+    /// growth and never touched again (every accepted x has exactly
+    /// `cols` entries), as the hardware's aligned buffers are.
+    fn load<X: AsRef<[f32]>>(&mut self, xs: &[X]) {
+        let xstride = self.xstride();
         let need_x = xstride * xs.len();
         if self.xb.len() < need_x {
             self.xb.resize(need_x, 0.0);
@@ -1455,232 +1324,170 @@ impl ExecutionPlan {
             let x = x.as_ref();
             self.xb[j * xstride..j * xstride + x.len()].copy_from_slice(x);
         }
-        let need_y = self.window_prefix.last().copied().unwrap_or(0) * xs.len();
+        let need_y = self.window_prefix[self.window_prefix.len() - 1] * xs.len();
         if self.yb.len() < need_y {
             self.yb.resize(need_y, 0.0);
         }
         self.yb[..need_y].fill(0.0);
     }
 
-    /// The batched functional pass: tile rows outermost, vectors innermost,
-    /// so each tile row's span of the SoA stream is applied to every
-    /// vector while it is hot in cache. Per vector, the accumulation order
-    /// within each window is exactly the single-run order, so the packed
-    /// windows are bitwise what `run` would have produced.
-    fn execute_batch_rows(&mut self, batch: usize) {
-        let n_rows = self.inst_ranges.len();
-        if n_rows == 0 || batch == 0 {
-            return;
+    /// The one functional pass: pads `xs`, then walks every (tile-row ×
+    /// vector) pair into the packed windows of `yb`, vector `j` acting for
+    /// batch lane `first_lane + j`. Returns the pass's
+    /// [injection-level health](ExecutionPlan::injected_health).
+    ///
+    /// Pairs are chunked contiguously in pair order, balanced by instance
+    /// weight; each chunk owns one ascending span of `yb` (that is what
+    /// the pair ordering of `yb`'s layout buys). One chunk runs inline;
+    /// several run on scoped threads, each walking its pairs in order, so
+    /// every window's accumulation sequence is the same for any chunking.
+    /// An armed plan always runs one chunk.
+    fn execute<X: AsRef<[f32]>>(&mut self, xs: &[X], first_lane: usize) -> HealthReport {
+        let batch = xs.len();
+        self.load(xs);
+        let health = self.injected_health(first_lane, batch);
+        let n_pairs = self.inst_ranges.len() * batch;
+        if n_pairs == 0 {
+            return health;
         }
-        #[cfg(feature = "parallel")]
-        {
-            let budget = worker_budget();
-            if budget >= 2 && n_rows * batch >= 2 {
-                self.execute_batch_parallel(batch, budget);
-                return;
-            }
-        }
-        match self.dispatch {
-            Dispatch::PerInstance => {
-                let xstride = self.xp.len();
-                for r in 0..n_rows {
-                    let (i0, i1) = self.inst_ranges[r];
-                    let (w0, w1) = self.window_spans[r];
-                    let wlen = w1 - w0;
-                    let base = self.window_prefix[r] * batch;
-                    for j in 0..batch {
-                        process_span(
-                            &self.x_base,
-                            &self.y_base,
-                            &self.op_idx,
-                            &self.lut,
-                            &self.values,
-                            &self.xb[j * xstride..(j + 1) * xstride],
-                            &mut self.yb[base + j * wlen..base + (j + 1) * wlen],
-                            i0,
-                            i1,
-                        );
-                    }
-                }
-            }
-            // Batch-lane fusion: one instance walk feeds up to LANE_BLOCK
-            // vectors, and each vector's window still accumulates in
-            // stream order — the lane blocking only changes how often the
-            // instance metadata is re-read, not any per-window order.
-            Dispatch::Classed => {
-                let v = self.kernel_views();
-                let xstride = v.xp.len();
-                for (r, &(w0, w1)) in v.window_spans.iter().enumerate() {
-                    let wlen = w1 - w0;
-                    let base = v.window_prefix[r] * batch;
-                    let mut lb = 0usize;
-                    while lb < batch {
-                        let lanes = kernel::LANE_BLOCK.min(batch - lb);
-                        kernel::execute_row_classed(
-                            v.soa,
-                            v.buckets,
-                            r,
-                            v.xb,
-                            xstride,
-                            lb,
-                            lanes,
-                            &mut v.yb[base + lb * wlen..base + (lb + lanes) * wlen],
-                            wlen,
-                            v.stage,
-                        );
-                        lb += lanes;
-                    }
-                }
-            }
-        }
-    }
 
-    /// Parallel batched fan-out over (tile-row × vector) pairs, in pair
-    /// order `p = r·batch + j`: chunk boundaries are binary-searched on the
-    /// pairs' cumulative instance weight, and each chunk's packed windows
-    /// form one contiguous ascending span of `yb` (that is what the pair
-    /// ordering of `yb`'s layout buys), handed out with `split_at_mut`.
-    /// Workers process their pairs in order, so every window's accumulation
-    /// sequence is identical to the serial pass.
-    #[cfg(feature = "parallel")]
-    fn execute_batch_parallel(&mut self, batch: usize, budget: usize) {
-        let n_rows = self.inst_ranges.len();
-        let n_pairs = n_rows * batch;
-        let parts = budget.min(n_pairs);
-        let total = self.cum_instances.last().copied().unwrap_or(0) * batch;
         self.chunks.clear();
         self.chunks.push(0);
-        let mut last_boundary = 0usize;
-        for t in 1..parts {
-            let target = total * t / parts;
-            // Smallest pair whose cumulative weight reaches this worker's
-            // share of the instance stream; clamped strictly increasing.
-            let (mut lo, mut hi) = (0usize, n_pairs);
-            while lo < hi {
-                let mid = lo + (hi - lo) / 2;
-                let (r, j) = (mid / batch, mid % batch);
-                let w = batch * self.cum_instances[r]
-                    + j * (self.cum_instances[r + 1] - self.cum_instances[r]);
-                if w < target {
-                    lo = mid + 1;
-                } else {
-                    hi = mid;
+        let budget = worker_budget();
+        if !self.is_armed() && budget >= 2 && n_pairs >= 2 {
+            let parts = budget.min(n_pairs);
+            let total = self.cum_instances[self.cum_instances.len() - 1] * batch;
+            let mut last_boundary = 0usize;
+            for t in 1..parts {
+                let target = total * t / parts;
+                // Smallest pair whose cumulative weight reaches this
+                // worker's share of the instance stream; clamped strictly
+                // increasing.
+                let (mut lo, mut hi) = (0usize, n_pairs);
+                while lo < hi {
+                    let mid = lo + (hi - lo) / 2;
+                    let (r, j) = (mid / batch, mid % batch);
+                    let w = batch * self.cum_instances[r]
+                        + j * (self.cum_instances[r + 1] - self.cum_instances[r]);
+                    if w < target {
+                        lo = mid + 1;
+                    } else {
+                        hi = mid;
+                    }
                 }
-            }
-            if lo > last_boundary && lo < n_pairs {
-                self.chunks.push(lo);
-                last_boundary = lo;
+                if lo > last_boundary && lo < n_pairs {
+                    self.chunks.push(lo);
+                    last_boundary = lo;
+                }
             }
         }
         self.chunks.push(n_pairs);
-
-        // One staging stripe per chunk worker.
+        // One staging stripe per chunk worker (grown once per budget, so
+        // the steady state at a fixed thread count does not allocate).
         let n_chunks = self.chunks.len() - 1;
-        if self.dispatch == Dispatch::Classed && self.stage.len() < n_chunks * kernel::STAGE_STRIDE
-        {
+        if self.stage.len() < n_chunks * kernel::STAGE_STRIDE {
             self.stage.resize(n_chunks * kernel::STAGE_STRIDE, 0.0);
         }
-        let dispatch = self.dispatch;
-        let v = self.kernel_views();
-        let (soa, buckets) = (v.soa, v.buckets);
-        let (op_idx, lut) = (v.op_idx, v.lut);
-        let (inst_ranges, window_spans) = (buckets.inst_ranges, v.window_spans);
-        let window_prefix = v.window_prefix;
-        let xb = v.xb;
-        let xstride = v.xp.len();
-        // Packed offset of pair `p`'s window; `p == n_pairs` is the end of
-        // the active region.
-        let offset = |p: usize| {
-            if p == n_pairs {
-                return window_prefix[n_rows] * batch;
-            }
-            let (r, j) = (p / batch, p % batch);
-            let (w0, w1) = window_spans[r];
-            window_prefix[r] * batch + j * (w1 - w0)
-        };
+
+        let (walk, chunks, yb, stage) = self.split(batch, first_lane, true);
+        let active = &mut yb[..walk.offset(n_pairs)];
+        if n_chunks == 1 {
+            walk.pairs(0, n_pairs, active, stage);
+            return health;
+        }
         std::thread::scope(|scope| {
-            let mut rest: &mut [f32] = &mut v.yb[..window_prefix[n_rows] * batch];
-            let mut stage_rest: &mut [f32] = v.stage;
-            let mut consumed = 0usize;
-            for w in v.chunks.windows(2) {
+            let mut rest = active;
+            let mut stage_rest = stage;
+            for w in chunks.windows(2) {
                 let (p0, p1) = (w[0], w[1]);
-                let (start, end) = (offset(p0), offset(p1));
-                let (chunk_y, tail) = rest.split_at_mut(end - start);
+                let (chunk_y, tail) = rest.split_at_mut(walk.offset(p1) - walk.offset(p0));
                 rest = tail;
-                debug_assert_eq!(start, consumed);
-                consumed = end;
-                match dispatch {
-                    Dispatch::PerInstance => {
-                        scope.spawn(move || {
-                            for p in p0..p1 {
-                                let (r, j) = (p / batch, p % batch);
-                                let (i0, i1) = inst_ranges[r];
-                                let (w0, w1) = window_spans[r];
-                                let wlen = w1 - w0;
-                                let off = window_prefix[r] * batch + j * wlen - start;
-                                process_span(
-                                    soa.x_base,
-                                    soa.y_base,
-                                    op_idx,
-                                    lut,
-                                    soa.values,
-                                    &xb[j * xstride..(j + 1) * xstride],
-                                    &mut chunk_y[off..off + wlen],
-                                    i0,
-                                    i1,
-                                );
-                            }
-                        });
-                    }
-                    // A chunk's pairs are consecutive, so pairs sharing a
-                    // tile row form runs of consecutive vectors — each run
-                    // is lane-blocked through the fused kernel. Every
-                    // (row, vector) window is still produced in stream
-                    // order, so chunk boundaries cannot change any bits.
-                    Dispatch::Classed => {
-                        let (chunk_stage, s_tail) = stage_rest.split_at_mut(kernel::STAGE_STRIDE);
-                        stage_rest = s_tail;
-                        scope.spawn(move || {
-                            let mut p = p0;
-                            while p < p1 {
-                                let r = p / batch;
-                                let (w0, w1) = window_spans[r];
-                                let wlen = w1 - w0;
-                                let row_end = ((r + 1) * batch).min(p1);
-                                let jend = row_end - r * batch;
-                                let mut j = p % batch;
-                                while j < jend {
-                                    let lanes = kernel::LANE_BLOCK.min(jend - j);
-                                    let off = window_prefix[r] * batch + j * wlen - start;
-                                    kernel::execute_row_classed(
-                                        soa,
-                                        buckets,
-                                        r,
-                                        xb,
-                                        xstride,
-                                        j,
-                                        lanes,
-                                        &mut chunk_y[off..off + lanes * wlen],
-                                        wlen,
-                                        chunk_stage,
-                                    );
-                                    j += lanes;
-                                }
-                                p = row_end;
-                            }
-                        });
-                    }
-                }
+                let (chunk_stage, s_tail) = stage_rest.split_at_mut(kernel::STAGE_STRIDE);
+                stage_rest = s_tail;
+                scope.spawn(move || walk.pairs(p0, p1, chunk_y, chunk_stage));
             }
         });
+        health
     }
 
-    /// Folds the packed batch windows into the output vectors,
-    /// reproducing single-run [`ExecutionPlan::add_into`] bit-for-bit —
-    /// including the `+= 0.0` it performs on rows outside every worked
-    /// window (which normalises a caller's `-0.0` to `+0.0`), so batched
-    /// and looped execution cannot be told apart even on signed zeros.
-    fn add_into_batch<Y: AsMut<[f32]>>(&mut self, ys: &mut [Y]) {
+    /// Splits `self` into the walk over its immutable streams (for a
+    /// `batch`-vector pass, vector `j` acting for lane `first_lane + j`,
+    /// with an armed plan's transient `stream_faults` on or off) and the
+    /// mutable scratch the walk writes: `(walk, chunks, yb, stage)`.
+    #[cfg_attr(not(feature = "fault-injection"), allow(unused_variables))]
+    fn split(
+        &mut self,
+        batch: usize,
+        first_lane: usize,
+        stream_faults: bool,
+    ) -> (Walk<'_>, &[usize], &mut [f32], &mut [f32]) {
+        let xstride = self.xstride();
+        // Under an armed plan every vector walks alone, so each pair can
+        // be struck (or not) on its own.
+        let lane_block = if self.is_armed() {
+            1
+        } else {
+            kernel::LANE_BLOCK
+        };
+        let ExecutionPlan {
+            x_base,
+            y_base,
+            kernels,
+            values,
+            bucket_idx,
+            class_runs,
+            block_runs,
+            row_blocks,
+            inst_ranges,
+            window_spans,
+            window_prefix,
+            chunks,
+            xb,
+            yb,
+            stage,
+            ..
+        } = self;
+        #[cfg(feature = "fault-injection")]
+        let strike = self.armed.as_ref().map(|faults| Strike {
+            faults,
+            stream_faults,
+            first_lane,
+            enc_bits: &self.enc_bits,
+            col_base: &self.col_base,
+            lut: &self.lut,
+        });
+        let walk = Walk {
+            soa: SoaRef {
+                x_base,
+                y_base,
+                values,
+                kernels,
+            },
+            buckets: BucketRef {
+                bucket_idx,
+                class_runs,
+                block_runs,
+                row_blocks,
+                inst_ranges,
+            },
+            window_spans,
+            window_prefix,
+            xb,
+            xstride,
+            batch,
+            lane_block,
+            #[cfg(feature = "fault-injection")]
+            strike,
+        };
+        (walk, chunks, yb, stage)
+    }
+
+    /// Folds the packed windows of the last `ys.len()`-vector execution
+    /// into the output vectors — including the `+= 0.0` on rows outside
+    /// every worked window (which normalises a caller's `-0.0` to `+0.0`,
+    /// as the hardware's full-length y write-back does), so every entry
+    /// point commits identically.
+    fn commit_into<Y: AsMut<[f32]>>(&self, ys: &mut [Y]) {
         let batch = ys.len();
         let rows = self.rows as usize;
         for y in ys.iter_mut() {
@@ -1710,96 +1517,55 @@ impl ExecutionPlan {
         }
     }
 
-    /// The faulted batch path: vector-serial through the single-vector
-    /// machinery, so fault application order is identical to looped
-    /// [`ExecutionPlan::run`] calls with the matching active lane.
-    #[cfg(feature = "fault-injection")]
-    fn run_batch_faulted<X, Y>(&mut self, xs: &[X], ys: &mut [Y]) -> Result<&ExecReport, SimError>
-    where
-        X: AsRef<[f32]>,
-        Y: AsMut<[f32]>,
-    {
-        let prev = self.active_lane;
-        let mut health = HealthReport::default();
-        for (j, (x, y)) in xs.iter().zip(ys.iter_mut()).enumerate() {
-            self.active_lane = j;
-            self.load_and_execute(x.as_ref());
-            let h = self.armed_health();
-            health.faults_injected += h.faults_injected;
-            health.stall_cycles += h.stall_cycles;
-            self.add_into(y.as_mut());
-        }
-        self.active_lane = prev;
-        self.report.health = health;
-        self.stamp_batch(xs.len());
-        Ok(&self.report)
-    }
-
-    /// Injection-level health: what is armed on the plan *and striking the
-    /// active lane*, before any verification has looked at the output.
-    fn armed_health(&self) -> HealthReport {
-        #[cfg(feature = "fault-injection")]
-        if let Some(af) = &self.armed {
-            if af.strikes_lane(self.active_lane) {
-                return HealthReport {
-                    faults_injected: af.applied,
-                    stall_cycles: af.stall_cycles,
-                    ..HealthReport::default()
-                };
-            }
-        }
-        HealthReport::default()
-    }
-
-    /// Re-verifies the selected tile rows against a pristine
-    /// re-computation, quarantining and re-executing rows that disagree.
-    fn verify_and_heal(&mut self, scope: VerifyScope<'_>) -> HealthReport {
-        let mut health = self.armed_health();
+    /// Re-verifies the selected tile rows against the pristine reference
+    /// walk, quarantining and re-executing rows that disagree.
+    fn verify_and_heal(&mut self, scope: VerifyScope<'_>, health: &mut HealthReport) {
         match scope {
             VerifyScope::None => {}
             VerifyScope::All => {
                 for r in 0..self.inst_ranges.len() {
-                    self.verify_row(r, &mut health);
+                    self.verify_row(r, health);
                 }
             }
             VerifyScope::TileRows(rows) => {
                 for &r in rows {
                     if r < self.inst_ranges.len() {
-                        self.verify_row(r, &mut health);
+                        self.verify_row(r, health);
                     }
                 }
             }
         }
-        health
     }
 
-    /// Verifies one tile row's window bit-for-bit against the pristine
-    /// oracle; on mismatch, quarantines it and re-executes it once from
-    /// the pristine stream (transient stream faults heal, persistent lane
-    /// faults do not).
+    /// Verifies one tile row's (batch-1) window bit-for-bit against the
+    /// pristine oracle; on mismatch, quarantines it and re-executes it
+    /// once through the executor's walk with stream faults off (transient
+    /// stream faults heal, persistent lane faults do not).
     fn verify_row(&mut self, r: usize, health: &mut HealthReport) {
         let (w0, w1) = self.window_spans[r];
         let (i0, i1) = self.inst_ranges[r];
         let wlen = w1 - w0;
+        let at = self.window_prefix[r];
         health.tile_rows_verified += 1;
 
+        // The oracle is always the per-instance reference walk — the class
+        // kernels are bit-identical to it, so this doubles as a
+        // kernel-vs-reference check on every verified row.
+        let xstride = self.xstride();
         let oracle = &mut self.vp[..wlen];
         oracle.fill(0.0);
-        // The oracle is always the per-instance reference walk, whatever
-        // dispatcher produced the window — the two are bit-identical, so
-        // this doubles as a cross-dispatch check on every verified row.
-        process_span(
+        reference::process_span(
             &self.x_base,
             &self.y_base,
             &self.op_idx,
             &self.lut,
             &self.values,
-            &self.xp,
+            &self.xb[..xstride],
             oracle,
             i0,
             i1,
         );
-        if bits_equal(&self.yp[w0..w1], &self.vp[..wlen]) {
+        if bits_equal(&self.yb[at..at + wlen], &self.vp[..wlen]) {
             return;
         }
         health.tile_rows_quarantined += 1;
@@ -1807,11 +1573,12 @@ impl ExecutionPlan {
         // One-shot re-execution from the pristine stream. Transient faults
         // (in-flight bit flips) do not recur; persistent faults (a stuck
         // VALU lane) strike the retry too and stay uncorrected.
-        let retry = &mut self.vq[..wlen];
-        retry.fill(0.0);
-        self.reexecute_span(r, wlen);
-        self.yp[w0..w1].copy_from_slice(&self.vq[..wlen]);
-        if bits_equal(&self.yp[w0..w1], &self.vp[..wlen]) {
+        let lane = self.single_lane();
+        let (walk, _, yb, stage) = self.split(1, lane, false);
+        let window = &mut yb[at..at + wlen];
+        window.fill(0.0);
+        walk.pairs(r, r + 1, window, &mut stage[..kernel::STAGE_STRIDE]);
+        if bits_equal(&self.yb[at..at + wlen], &self.vp[..wlen]) {
             health.tile_rows_corrected += 1;
         } else {
             health.tile_rows_uncorrected += 1;
@@ -1820,314 +1587,101 @@ impl ExecutionPlan {
             }
         }
     }
+}
 
-    /// Re-executes tile row `r` from the pristine stream into
-    /// `vq[..wlen]`, keeping persistent (lane) faults in effect.
+/// One pass of the executor over the plan's immutable streams: shared
+/// views of the pre-decoded stream, bucket directory, window layout and
+/// padded x vectors. `Copy`, so the fan-out moves it into scoped workers.
+#[derive(Clone, Copy)]
+struct Walk<'a> {
+    soa: SoaRef<'a>,
+    buckets: BucketRef<'a>,
+    window_spans: &'a [(usize, usize)],
+    window_prefix: &'a [usize],
+    xb: &'a [f32],
+    xstride: usize,
+    batch: usize,
+    // Vectors fused per kernel call: `kernel::LANE_BLOCK`, or 1 under an
+    // armed plan.
+    lane_block: usize,
+    // The armed fault plan, if any, and what it needs to re-decode the
+    // pairs it strikes.
     #[cfg(feature = "fault-injection")]
-    fn reexecute_span(&mut self, r: usize, wlen: usize) {
-        let (i0, i1) = self.inst_ranges[r];
-        match &self.armed {
-            Some(af) if af.strikes_lane(self.active_lane) => process_span_faulted(
-                af,
-                false,
-                &self.enc_bits,
-                &self.col_base,
-                &self.lut,
-                &self.values,
-                &self.xp,
-                &mut self.vq[..wlen],
-                i0,
-                i1,
-            ),
-            _ => self.reexecute_pristine(r, wlen),
+    strike: Option<Strike<'a>>,
+}
+
+impl Walk<'_> {
+    /// Offset of pair `p`'s window in the packed scratch; `p == n_pairs`
+    /// is the end of the active region.
+    fn offset(&self, p: usize) -> usize {
+        let (r, j) = (p / self.batch, p % self.batch);
+        let base = self.window_prefix[r] * self.batch;
+        if j == 0 {
+            return base;
         }
+        let (w0, w1) = self.window_spans[r];
+        base + j * (w1 - w0)
     }
 
-    /// Re-executes tile row `r` from the pristine stream into
-    /// `vq[..wlen]` (without fault injection compiled in, the pristine
-    /// stream is the only stream).
-    #[cfg(not(feature = "fault-injection"))]
-    fn reexecute_span(&mut self, r: usize, wlen: usize) {
-        self.reexecute_pristine(r, wlen);
-    }
-
-    /// The pristine retry, run through the *active* dispatcher — when the
-    /// plan executes classed, the quarantine re-execution replays the same
-    /// bucketed order (and the same staging/scatter passes) the original
-    /// execution used, so a healed window is exactly what a fault-free
-    /// run would have produced.
-    fn reexecute_pristine(&mut self, r: usize, wlen: usize) {
-        match self.dispatch {
-            Dispatch::PerInstance => {
-                let (i0, i1) = self.inst_ranges[r];
-                process_span(
-                    &self.x_base,
-                    &self.y_base,
-                    &self.op_idx,
-                    &self.lut,
-                    &self.values,
-                    &self.xp,
-                    &mut self.vq[..wlen],
-                    i0,
-                    i1,
-                );
-            }
-            Dispatch::Classed => {
-                let v = self.kernel_views();
-                let xstride = v.xp.len();
-                kernel::execute_row_classed(
-                    v.soa,
-                    v.buckets,
-                    r,
-                    v.xp,
-                    xstride,
-                    0,
-                    1,
-                    &mut v.vq[..wlen],
-                    wlen,
-                    v.stage,
-                );
-            }
-        }
-    }
-
-    /// Dispatches the functional pass over tile rows, fanning out only
-    /// when the `parallel` feature is on and the ambient budget allows.
-    fn execute_tile_rows(&mut self) {
-        #[cfg(feature = "fault-injection")]
-        if self
-            .armed
-            .as_ref()
-            .is_some_and(|af| af.strikes_lane(self.active_lane))
-        {
-            self.execute_tile_rows_faulted();
-            return;
-        }
-        #[cfg(feature = "parallel")]
-        {
-            let budget = worker_budget();
-            if budget >= 2 && self.inst_ranges.len() >= 2 {
-                self.execute_parallel(budget);
-                return;
-            }
-        }
-        match self.dispatch {
-            Dispatch::PerInstance => {
-                for r in 0..self.inst_ranges.len() {
-                    let (w0, w1) = self.window_spans[r];
-                    let (i0, i1) = self.inst_ranges[r];
-                    process_span(
-                        &self.x_base,
-                        &self.y_base,
-                        &self.op_idx,
-                        &self.lut,
-                        &self.values,
-                        &self.xp,
-                        &mut self.yp[w0..w1],
+    /// Walks pairs `p0..p1` in order into `out`, the packed windows
+    /// starting at pair `p0`. Consecutive pairs of one tile row form runs
+    /// of consecutive vectors, each lane-blocked through the fused class
+    /// kernel; every (row, vector) window is still produced in stream
+    /// order, so chunk and lane-block boundaries cannot change any bits.
+    /// The pairs an armed plan strikes re-decode their raw encoding words
+    /// instead.
+    fn pairs(&self, p0: usize, p1: usize, out: &mut [f32], stage: &mut [f32]) {
+        let start = self.offset(p0);
+        let batch = self.batch;
+        let mut p = p0;
+        while p < p1 {
+            let r = p / batch;
+            let (w0, w1) = self.window_spans[r];
+            let wlen = w1 - w0;
+            let jend = ((r + 1) * batch).min(p1) - r * batch;
+            let mut j = p % batch;
+            while j < jend {
+                let lanes = self.lane_block.min(jend - j);
+                let off = self.window_prefix[r] * batch + j * wlen - start;
+                let windows = &mut out[off..off + lanes * wlen];
+                #[cfg(feature = "fault-injection")]
+                if let Some(s) = self
+                    .strike
+                    .filter(|s| s.faults.strikes_lane(s.first_lane + j))
+                {
+                    let (i0, i1) = self.buckets.inst_ranges[r];
+                    let x = &self.xb[j * self.xstride..(j + 1) * self.xstride];
+                    process_span_faulted(
+                        s.faults,
+                        s.stream_faults,
+                        s.enc_bits,
+                        s.col_base,
+                        s.lut,
+                        self.soa.values,
+                        x,
+                        windows,
                         i0,
                         i1,
                     );
+                    j += 1;
+                    continue;
                 }
+                kernel::execute_row_classed(
+                    self.soa,
+                    self.buckets,
+                    r,
+                    self.xb,
+                    self.xstride,
+                    j,
+                    lanes,
+                    windows,
+                    wlen,
+                    stage,
+                );
+                j += lanes;
             }
-            Dispatch::Classed => {
-                let v = self.kernel_views();
-                let xstride = v.xp.len();
-                for (r, &(w0, w1)) in v.window_spans.iter().enumerate() {
-                    kernel::execute_row_classed(
-                        v.soa,
-                        v.buckets,
-                        r,
-                        v.xp,
-                        xstride,
-                        0,
-                        1,
-                        &mut v.yp[w0..w1],
-                        w1 - w0,
-                        v.stage,
-                    );
-                }
-            }
+            p = r * batch + jend;
         }
-    }
-
-    /// Splits `self` into the disjoint borrows the classed executors
-    /// need: shared views of the SoA stream, portfolio tables and bucket
-    /// directory alongside mutable scratch — one destructure instead of
-    /// per-call-site field juggling.
-    fn kernel_views(&mut self) -> KernelViews<'_> {
-        let ExecutionPlan {
-            x_base,
-            y_base,
-            op_idx,
-            lut,
-            kernels,
-            values,
-            bucket_idx,
-            class_runs,
-            block_runs,
-            row_blocks,
-            inst_ranges,
-            window_spans,
-            window_prefix,
-            chunks,
-            xp,
-            xb,
-            yp,
-            yb,
-            vq,
-            stage,
-            ..
-        } = self;
-        KernelViews {
-            soa: SoaRef {
-                x_base,
-                y_base,
-                values,
-                kernels,
-            },
-            buckets: BucketRef {
-                bucket_idx,
-                class_runs,
-                block_runs,
-                row_blocks,
-                inst_ranges,
-            },
-            op_idx,
-            lut,
-            window_spans,
-            window_prefix,
-            chunks,
-            xp,
-            xb,
-            yp,
-            yb,
-            vq,
-            stage,
-        }
-    }
-
-    /// The faulted functional pass: always serial (fault application is
-    /// deterministic in stream order), re-decoding each instance from its
-    /// raw — possibly struck — encoding word the way the hardware would.
-    #[cfg(feature = "fault-injection")]
-    fn execute_tile_rows_faulted(&mut self) {
-        let Some(af) = &self.armed else { return };
-        for r in 0..self.inst_ranges.len() {
-            let (w0, w1) = self.window_spans[r];
-            let (i0, i1) = self.inst_ranges[r];
-            process_span_faulted(
-                af,
-                true,
-                &self.enc_bits,
-                &self.col_base,
-                &self.lut,
-                &self.values,
-                &self.xp,
-                &mut self.yp[w0..w1],
-                i0,
-                i1,
-            );
-        }
-    }
-
-    /// Parallel fan-out: tile rows are chunked contiguously, balanced by
-    /// instance count, one scoped worker per chunk. Chunks own disjoint
-    /// ascending spans of `yp`, and each worker processes its rows in
-    /// stream order, so the accumulation order per y element is identical
-    /// to the serial pass.
-    #[cfg(feature = "parallel")]
-    fn execute_parallel(&mut self, budget: usize) {
-        let n_rows = self.inst_ranges.len();
-        let parts = budget.min(n_rows);
-        let total = self.cum_instances.last().copied().unwrap_or(0);
-        self.chunks.clear();
-        self.chunks.push(0);
-        let mut last_boundary = 0usize;
-        for t in 1..parts {
-            // First row boundary at or past this worker's share of the
-            // instance stream; clamped to stay strictly increasing.
-            let target = total * t / parts;
-            let b = self
-                .cum_instances
-                .partition_point(|&c| c < target)
-                .min(n_rows);
-            if b > last_boundary && b < n_rows {
-                self.chunks.push(b);
-                last_boundary = b;
-            }
-        }
-        self.chunks.push(n_rows);
-
-        // One staging stripe per chunk worker (grown once per budget, so
-        // the steady state at a fixed thread count does not allocate).
-        let n_chunks = self.chunks.len() - 1;
-        if self.dispatch == Dispatch::Classed && self.stage.len() < n_chunks * kernel::STAGE_STRIDE
-        {
-            self.stage.resize(n_chunks * kernel::STAGE_STRIDE, 0.0);
-        }
-        let dispatch = self.dispatch;
-        let v = self.kernel_views();
-        let (soa, buckets) = (v.soa, v.buckets);
-        let (op_idx, lut) = (v.op_idx, v.lut);
-        let (inst_ranges, window_spans) = (buckets.inst_ranges, v.window_spans);
-        let xp = v.xp;
-        let xstride = xp.len();
-        std::thread::scope(|scope| {
-            let mut rest: &mut [f32] = v.yp;
-            let mut stage_rest: &mut [f32] = v.stage;
-            let mut consumed = 0usize;
-            for w in v.chunks.windows(2) {
-                let (b0, b1) = (w[0], w[1]);
-                let start = window_spans[b0].0;
-                let end = window_spans[b1 - 1].1;
-                let (_skip, tail) = rest.split_at_mut(start - consumed);
-                let (chunk_y, tail) = tail.split_at_mut(end - start);
-                rest = tail;
-                consumed = end;
-                match dispatch {
-                    Dispatch::PerInstance => {
-                        scope.spawn(move || {
-                            for r in b0..b1 {
-                                let (i0, i1) = inst_ranges[r];
-                                let (w0, w1) = window_spans[r];
-                                process_span(
-                                    soa.x_base,
-                                    soa.y_base,
-                                    op_idx,
-                                    lut,
-                                    soa.values,
-                                    xp,
-                                    &mut chunk_y[w0 - start..w1 - start],
-                                    i0,
-                                    i1,
-                                );
-                            }
-                        });
-                    }
-                    Dispatch::Classed => {
-                        let (chunk_stage, s_tail) = stage_rest.split_at_mut(kernel::STAGE_STRIDE);
-                        stage_rest = s_tail;
-                        scope.spawn(move || {
-                            for (r, &(w0, w1)) in window_spans.iter().enumerate().take(b1).skip(b0)
-                            {
-                                kernel::execute_row_classed(
-                                    soa,
-                                    buckets,
-                                    r,
-                                    xp,
-                                    xstride,
-                                    0,
-                                    1,
-                                    &mut chunk_y[w0 - start..w1 - start],
-                                    w1 - w0,
-                                    chunk_stage,
-                                );
-                            }
-                        });
-                    }
-                }
-            }
-        });
     }
 }
 
@@ -2263,37 +1817,26 @@ impl ArmedFaults {
     }
 }
 
-/// Disjoint borrows of one [`ExecutionPlan`], split in a single
-/// destructure (see [`ExecutionPlan::kernel_views`]): shared views of the
-/// pre-decoded stream, portfolio tables, bucket directory and layout,
-/// alongside the mutable scratch the executors write.
-struct KernelViews<'a> {
-    soa: SoaRef<'a>,
-    buckets: BucketRef<'a>,
-    #[cfg_attr(not(feature = "parallel"), allow(dead_code))]
-    op_idx: &'a [u8],
-    #[cfg_attr(not(feature = "parallel"), allow(dead_code))]
+/// An armed fault plan as one walk applies it: the faults, whether the
+/// transient stream faults strike (off for the quarantine retry, which
+/// reads the pristine stream), the lane vector 0 acts for, and the raw
+/// stream the faulted decoder reads.
+#[cfg(feature = "fault-injection")]
+#[derive(Clone, Copy)]
+struct Strike<'a> {
+    faults: &'a ArmedFaults,
+    stream_faults: bool,
+    first_lane: usize,
+    enc_bits: &'a [u32],
+    col_base: &'a [u32],
     lut: &'a [ValuOpcode],
-    window_spans: &'a [(usize, usize)],
-    window_prefix: &'a [usize],
-    #[cfg_attr(not(feature = "parallel"), allow(dead_code))]
-    chunks: &'a [usize],
-    xp: &'a [f32],
-    xb: &'a [f32],
-    yp: &'a mut [f32],
-    yb: &'a mut [f32],
-    vq: &'a mut [f32],
-    stage: &'a mut [f32],
 }
 
 /// The worker budget the fan-out may use (always 1 in serial builds).
-#[cfg(feature = "parallel")]
 fn worker_budget() -> usize {
-    rayon::current_num_threads()
-}
-
-#[cfg(not(feature = "parallel"))]
-fn worker_budget() -> usize {
+    #[cfg(feature = "parallel")]
+    return rayon::current_num_threads();
+    #[cfg(not(feature = "parallel"))]
     1
 }
 
@@ -2301,6 +1844,20 @@ fn worker_budget() -> usize {
 /// `==` on floats).
 fn bits_equal(a: &[f32], b: &[f32]) -> bool {
     a.len() == b.len() && a.iter().zip(b).all(|(x, y)| x.to_bits() == y.to_bits())
+}
+
+/// The worked tile rows of a tile directory, in stream order: `(tile_row,
+/// first instance, end instance)` per maximal run of same-row tiles.
+fn worked_rows(tiles: &[FrozenTile]) -> Vec<(u32, usize, usize)> {
+    let mut rows: Vec<(u32, usize, usize)> = Vec::new();
+    for t in tiles {
+        let end = t.first_instance + t.n_instances;
+        match rows.last_mut() {
+            Some((row, _, i1)) if *row == t.row => *i1 = end,
+            _ => rows.push((t.row, t.first_instance, end)),
+        }
+    }
+    rows
 }
 
 /// Validates the structural invariants the wire decoder cannot check
@@ -2369,47 +1926,11 @@ fn validate_stream(
     Ok(())
 }
 
-/// The per-instance reference loop: instances `[i0, i1)` of one tile row,
-/// accumulated into the row's y window in stream order. Pure SoA reads —
-/// the 1-byte class index selects the opcode from the portfolio LUT.
-/// [`Dispatch::PerInstance`] runs this; [`Dispatch::Classed`] runs the
-/// bucketed kernels in `crate::kernel`, bit-identically.
-#[allow(clippy::too_many_arguments)]
-fn process_span(
-    x_base: &[u32],
-    y_base: &[u32],
-    op_idx: &[u8],
-    lut: &[ValuOpcode],
-    values: &[f32],
-    xp: &[f32],
-    window: &mut [f32],
-    i0: usize,
-    i1: usize,
-) {
-    for i in i0..i1 {
-        let c0 = x_base[i] as usize;
-        let x_seg = [xp[c0], xp[c0 + 1], xp[c0 + 2], xp[c0 + 3]];
-        let v = [
-            values[4 * i],
-            values[4 * i + 1],
-            values[4 * i + 2],
-            values[4 * i + 3],
-        ];
-        let out = lut[op_idx[i] as usize].execute(v, x_seg);
-        let r0 = y_base[i] as usize;
-        // Same accumulation order as `Pe::process_instance`.
-        window[r0] += out[0];
-        window[r0 + 1] += out[1];
-        window[r0 + 2] += out[2];
-        window[r0 + 3] += out[3];
-    }
-}
-
 /// The faulted hot loop: re-decodes each instance from its raw encoding
 /// word (xor-struck when `stream_faults` is set), clamps all accesses the
 /// way the hardware's address decoders would — out-of-range x reads load
-/// zero, out-of-window y writes are dropped, out-of-portfolio template
-/// ids wrap the LUT — applies value-slot flips and stuck-at-zero lanes.
+/// zero, out-of-window y writes are dropped, out-of-portfolio template ids
+/// wrap the LUT — applies value-slot flips and stuck-at-zero lanes.
 #[cfg(feature = "fault-injection")]
 #[allow(clippy::too_many_arguments)]
 fn process_span_faulted(
@@ -2805,6 +2326,16 @@ mod tests {
         ));
     }
 
+    /// Runs `f` under a `threads`-wide worker budget (ignored by serial
+    /// builds, whose plans always run one chunk).
+    fn with_budget<R>(threads: usize, f: impl FnOnce() -> R) -> R {
+        rayon::ThreadPoolBuilder::new()
+            .num_threads(threads)
+            .build()
+            .unwrap()
+            .install(f)
+    }
+
     #[cfg(feature = "fault-injection")]
     #[test]
     fn targeted_faults_strike_exactly_one_batch_vector() {
@@ -2820,22 +2351,67 @@ mod tests {
         let mut clean = vec![vec![0.0f32; 64]; 3];
         clean_plan.run_batch(&xs, &mut clean).unwrap();
 
-        let mut plan = acc.prepare(&m).unwrap();
-        let spec = FaultSpec {
+        let lanes_stuck = FaultSpec {
             lane_faults: 4,
             ..FaultSpec::default()
         };
-        plan.arm_faults_for_vector(FaultPlan::seeded(9, &spec, plan.n_instances()), 1);
-        let mut ys = vec![vec![0.0f32; 64]; 3];
-        plan.run_batch(&xs, &mut ys).unwrap();
-        assert_eq!(bits(&ys[0]), bits(&clean[0]), "lane 0 must stay pristine");
-        assert_eq!(bits(&ys[2]), bits(&clean[2]), "lane 2 must stay pristine");
-        assert_ne!(
-            bits(&ys[1]),
-            bits(&clean[1]),
-            "all-lane fault on the target must corrupt it"
-        );
-        assert_eq!(plan.active_lane(), 0, "lane restored after the batch");
+        let mixed = FaultSpec {
+            encoding_flips: 3,
+            value_flips: 3,
+            lane_faults: 1,
+            channel_stalls: 2,
+        };
+        for budget in [1usize, 2, 7] {
+            with_budget(budget, || {
+                let mut plan = acc.prepare(&m).unwrap();
+                plan.arm_faults_for_vector(
+                    FaultPlan::seeded(9, &lanes_stuck, plan.n_instances()),
+                    1,
+                );
+                let mut ys = vec![vec![0.0f32; 64]; 3];
+                plan.run_batch(&xs, &mut ys).unwrap();
+                assert_eq!(bits(&ys[0]), bits(&clean[0]), "lane 0 must stay pristine");
+                assert_eq!(bits(&ys[2]), bits(&clean[2]), "lane 2 must stay pristine");
+                assert_ne!(
+                    bits(&ys[1]),
+                    bits(&clean[1]),
+                    "all-lane fault on the target must corrupt it"
+                );
+                assert_eq!(plan.active_lane(), 0, "lane restored after the batch");
+
+                // Targeted and untargeted plans: the batch must reproduce
+                // looped single-vector runs acting for each lane — output
+                // bits and the summed injection health alike.
+                for target in [Some(1usize), None] {
+                    let faults = FaultPlan::seeded(11, &mixed, plan.n_instances());
+                    match target {
+                        Some(v) => plan.arm_faults_for_vector(faults, v),
+                        None => plan.arm_faults(faults),
+                    }
+                    let mut batched = vec![vec![0.25f32; 64]; 3];
+                    let health = plan.run_batch(&xs, &mut batched).unwrap().health;
+                    let mut looped = vec![vec![0.25f32; 64]; 3];
+                    let (mut injected, mut stalls) = (0u32, 0u64);
+                    for (j, (x, y)) in xs.iter().zip(looped.iter_mut()).enumerate() {
+                        plan.set_active_lane(j);
+                        let h = plan.run(x, y).unwrap().health;
+                        injected += h.faults_injected;
+                        stalls += h.stall_cycles;
+                    }
+                    plan.set_active_lane(0);
+                    for (j, (b, l)) in batched.iter().zip(&looped).enumerate() {
+                        assert_eq!(
+                            bits(b),
+                            bits(l),
+                            "{target:?} vector {j} at {budget} workers"
+                        );
+                    }
+                    assert_eq!(health.faults_injected, injected, "{target:?} at {budget}");
+                    assert_eq!(health.stall_cycles, stalls, "{target:?} at {budget}");
+                    assert!(injected > 0);
+                }
+            });
+        }
     }
 
     #[test]
@@ -2920,6 +2496,43 @@ mod tests {
             assert_eq!(plan.contribution(r).to_bits(), w.to_bits());
         }
         assert_eq!(plan.contribution(10_000), 0.0);
+    }
+
+    #[test]
+    fn single_vector_entry_points_agree_around_an_unworked_tile_row() {
+        // 600x600 at tile 256: tile rows 0 and 2 are worked, tile row 1
+        // (rows 256..512) holds no entries and owns no window.
+        let mut t = Vec::new();
+        for i in (0..256u32).chain(512..600) {
+            t.push((i, i, 1.5));
+            t.push((i, (i * 11 + 5) % 600, -0.75));
+            t.push((i, 599 - i, 0.125));
+        }
+        let m = encode(&Coo::from_triplets(600, 600, t).unwrap(), 256);
+        let acc = Accelerator::new(HwConfig::spasm_4_1());
+        let x: Vec<f32> = (0..600).map(|i| ((i % 17) as f32) * 0.25 - 2.0).collect();
+        for budget in [1usize, 2, 7] {
+            with_budget(budget, || {
+                let mut plan = acc.prepare(&m).unwrap();
+                assert_eq!(plan.n_tile_rows(), 2);
+                let mut via_run = vec![0.0f32; 600];
+                plan.run(&x, &mut via_run).unwrap();
+
+                plan.run_deferred(&x, VerifyScope::All).unwrap();
+                let contributions: Vec<f32> = (0..600).map(|r| plan.contribution(r)).collect();
+                let mut via_commit = vec![0.0f32; 600];
+                plan.commit(&mut via_commit).unwrap();
+                assert_eq!(bits(&contributions), bits(&via_commit), "{budget} workers");
+                for r in (256..512).chain([600, 601, 10_000]) {
+                    assert_eq!(plan.contribution(r).to_bits(), 0.0f32.to_bits(), "row {r}");
+                }
+
+                let mut via_batch = vec![vec![0.0f32; 600]];
+                plan.run_batch(&[&x], &mut via_batch).unwrap();
+                assert_eq!(bits(&via_run), bits(&via_commit), "{budget} workers");
+                assert_eq!(bits(&via_run), bits(&via_batch[0]), "{budget} workers");
+            });
+        }
     }
 
     #[test]

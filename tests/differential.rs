@@ -16,7 +16,7 @@ use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use spasm::{IntegrityPolicy, Pipeline, PipelineOptions};
 use spasm_format::SpasmMatrix;
-use spasm_hw::{Accelerator, Dispatch};
+use spasm_hw::Accelerator;
 use spasm_sparse::{Bsr, Coo, Csc, Csr, Dia, Ell, SpMv};
 
 /// Batch sizes every batched-equivalence assertion sweeps.
@@ -323,7 +323,7 @@ fn with_budget<R>(threads: usize, f: impl FnOnce() -> R) -> R {
         .install(f)
 }
 
-/// The matrix zoo for the dispatcher differential: one representative of
+/// The matrix zoo for the kernels-vs-reference differential: one representative of
 /// each adversarial structure the suite above exercises individually.
 fn dispatch_zoo() -> Vec<Coo> {
     let mut rng = SmallRng::seed_from_u64(0xD1FF_0009);
@@ -360,10 +360,10 @@ fn dispatch_zoo() -> Vec<Coo> {
 #[test]
 fn classed_dispatch_is_bit_identical_to_per_instance() {
     // The class-bucketed kernels must reproduce the per-instance enum walk
-    // bit for bit, for every batch size and thread budget. The
-    // per-instance dispatcher is always scalar, so building this suite
-    // with `--features simd` turns it into the SIMD-vs-scalar
-    // differential; CI runs it both ways.
+    // bit for bit, for every batch size and thread budget. The reference
+    // walk (`ExecutionPlan::run_batch_reference`) is always scalar, so
+    // building this suite with `--features simd` turns it into the
+    // SIMD-vs-scalar differential; CI runs it both ways.
     for m in dispatch_zoo() {
         let n_rows = m.rows() as usize;
         let prepared = Pipeline::new().prepare(&m).unwrap();
@@ -371,21 +371,20 @@ fn classed_dispatch_is_bit_identical_to_per_instance() {
         for batch in [1usize, 2, 8, 64] {
             let xs = probe_batch(m.cols(), batch);
 
-            // Scalar per-instance oracle, single worker.
+            // Scalar per-instance oracle (serial by construction).
             let mut oracle = acc.prepare(&prepared.encoded).unwrap();
-            oracle.set_dispatch(Dispatch::PerInstance);
             let mut want = vec![vec![0.25f32; n_rows]; batch];
-            with_budget(1, || oracle.run_batch(&xs, &mut want).map(|_| ())).unwrap();
+            let want_rep = oracle.run_batch_reference(&xs, &mut want).unwrap().clone();
 
             for budget in [1usize, 2, 7] {
                 let mut plan = acc.prepare(&prepared.encoded).unwrap();
-                assert_eq!(
-                    plan.dispatch(),
-                    Dispatch::Classed,
-                    "classed dispatch must be the default"
-                );
                 let mut got = vec![vec![0.25f32; n_rows]; batch];
-                with_budget(budget, || plan.run_batch(&xs, &mut got).map(|_| ())).unwrap();
+                let got_rep =
+                    with_budget(budget, || plan.run_batch(&xs, &mut got).cloned()).unwrap();
+                assert_eq!(
+                    got_rep, want_rep,
+                    "the default executor and the reference must price the batch alike"
+                );
                 for (j, (g, w)) in got.iter().zip(&want).enumerate() {
                     assert_eq!(
                         bits(g),

@@ -5,7 +5,8 @@
 //! Every matrix value and probe entry is a small multiple of 0.25, so all
 //! partial sums are exactly representable in `f32` and "indistinguishable"
 //! means **bit for bit**: identical output bits across batch sizes
-//! {1, 8}, worker budgets {1, 2, 7} and both dispatch modes (building
+//! {1, 8}, worker budgets {1, 2, 7} through both the executor and the
+//! per-instance reference walk (building
 //! with `--features simd` turns the sweep into the SIMD-vs-scalar
 //! differential; CI runs both rows), identical execution reports, and —
 //! under a pinned schedule — identical `memory_bytes` repricing.
@@ -28,7 +29,7 @@ use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use spasm::{DeltaOutcome, IntegrityPolicy, Pipeline, PipelineError, PipelineOptions, Prepared};
 use spasm_format::MatrixFingerprint;
-use spasm_hw::{Dispatch, HwConfig};
+use spasm_hw::HwConfig;
 use spasm_patterns::TemplateSet;
 use spasm_sparse::{Coo, Csr, DeltaOp, MatrixDelta, SpMv};
 use spasm_workloads::{changesets, ChangesetConfig};
@@ -154,7 +155,7 @@ fn assert_fingerprint_exact(live: &Prepared, label: &str) {
 
 /// The full equivalence sweep: live (delta-updated) vs fresh (prepared
 /// from scratch on the mutated matrix), bit for bit, across batch sizes ×
-/// worker budgets × both dispatch modes, with identical execution reports
+/// worker budgets × {executor, reference walk}, with identical execution reports
 /// and identical memory repricing.
 fn assert_update_equivalence(live: &mut Prepared, fresh: &mut Prepared, label: &str) {
     let (rows, cols) = (live.plan.rows(), live.plan.cols());
@@ -182,35 +183,43 @@ fn assert_update_equivalence(live: &mut Prepared, fresh: &mut Prepared, label: &
     fresh.golden().spmv(x, &mut y_fresh).unwrap();
     assert_eq!(bits(&y_live), bits(&y_fresh), "{label}: golden CSR");
 
-    for dispatch in [Dispatch::Classed, Dispatch::PerInstance] {
-        live.plan.set_dispatch(dispatch);
-        fresh.plan.set_dispatch(dispatch);
+    // The executor and the per-instance reference walk alike.
+    for reference in [false, true] {
+        let path = if reference { "reference" } else { "executor" };
         for batch in BATCHES {
             let xs = probe_batch(cols, batch);
             for budget in BUDGETS {
                 let mut got = vec![vec![0.25f32; rows as usize]; batch];
                 let mut want = vec![vec![0.25f32; rows as usize]; batch];
                 let (r_live, r_fresh) = with_budget(budget, || {
-                    let r_live = live.plan.run_batch(&xs, &mut got).unwrap().clone();
-                    let r_fresh = fresh.plan.run_batch(&xs, &mut want).unwrap().clone();
-                    (r_live, r_fresh)
+                    if reference {
+                        let r_live = live
+                            .plan
+                            .run_batch_reference(&xs, &mut got)
+                            .unwrap()
+                            .clone();
+                        let r_fresh = fresh.plan.run_batch_reference(&xs, &mut want).unwrap();
+                        (r_live, r_fresh.clone())
+                    } else {
+                        let r_live = live.plan.run_batch(&xs, &mut got).unwrap().clone();
+                        let r_fresh = fresh.plan.run_batch(&xs, &mut want).unwrap().clone();
+                        (r_live, r_fresh)
+                    }
                 });
                 for (j, (g, w)) in got.iter().zip(&want).enumerate() {
                     assert_eq!(
                         bits(g),
                         bits(w),
-                        "{label}: vector {j}/{batch} at {budget} workers, {dispatch:?}"
+                        "{label}: vector {j}/{batch} at {budget} workers, {path}"
                     );
                 }
                 assert_eq!(
                     r_live, r_fresh,
-                    "{label}: ExecReport at batch {batch}, {budget} workers, {dispatch:?}"
+                    "{label}: ExecReport at batch {batch}, {budget} workers, {path}"
                 );
             }
         }
     }
-    live.plan.set_dispatch(Dispatch::Classed);
-    fresh.plan.set_dispatch(Dispatch::Classed);
 }
 
 #[test]
