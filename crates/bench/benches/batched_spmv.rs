@@ -5,8 +5,8 @@
 //! Both paths reuse the same prepared plan; the comparison isolates what
 //! batching itself buys: the x vectors are padded once, the pre-decoded
 //! instance stream is streamed through the cache once per tile row for the
-//! whole batch, and (under the `parallel` feature) the fan-out spans
-//! (vector × tile-row) pairs instead of tile rows alone.
+//! whole batch, and the fan-out spans (vector × tile-row) pairs instead
+//! of tile rows alone.
 //!
 //! All batched outputs are asserted bit-identical to the looped path
 //! before timing. Results are printed as a table and written to
@@ -58,9 +58,9 @@ fn main() {
     spasm_bench::smoke_from_args();
     let scale = spasm_bench::scale_from_args();
     println!(
-        "batched-SpMV serving | scale: {} | parallel feature: {}",
+        "batched-SpMV serving | scale: {} | thread budget: {}",
         spasm_bench::scale_name(scale),
-        cfg!(feature = "parallel")
+        rayon::current_num_threads()
     );
 
     // Same structural cross-section as the repeated-SpMV bench.

@@ -78,10 +78,10 @@ fn main() {
     spasm_bench::smoke_from_args();
     let scale = spasm_bench::scale_from_args();
     println!(
-        "cold start: v3 mapped plans vs v2 re-prepare | scale: {} | parallel: {} | simd: {}",
+        "cold start: v3 mapped plans vs v2 re-prepare | scale: {} | thread budget: {} | kernel: {}",
         spasm_bench::scale_name(scale),
-        cfg!(feature = "parallel"),
-        cfg!(feature = "simd")
+        rayon::current_num_threads(),
+        spasm_bench::kernel_name()
     );
 
     // Same structural cross-section as the other serving benches.

@@ -82,10 +82,10 @@ fn main() {
     spasm_bench::smoke_from_args();
     let scale = spasm_bench::scale_from_args();
     println!(
-        "matrix updates: apply_delta vs full re-prepare | scale: {} | parallel: {} | simd: {}",
+        "matrix updates: apply_delta vs full re-prepare | scale: {} | thread budget: {} | kernel: {}",
         spasm_bench::scale_name(scale),
-        cfg!(feature = "parallel"),
-        cfg!(feature = "simd")
+        rayon::current_num_threads(),
+        spasm_bench::kernel_name()
     );
 
     let picks = [Workload::Raefsky3, Workload::TmtSym, Workload::C73];

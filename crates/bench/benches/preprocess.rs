@@ -134,9 +134,9 @@ fn bench_explore_schedule() {
 fn main() {
     spasm_bench::smoke_from_args();
     println!(
-        "host threads: {} | parallel feature: {}",
+        "host threads: {} | thread budget: {}",
         std::thread::available_parallelism().map_or(1, usize::from),
-        cfg!(feature = "parallel")
+        rayon::current_num_threads()
     );
     bench_stages();
     bench_decomposition();

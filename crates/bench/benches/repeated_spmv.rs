@@ -71,9 +71,9 @@ fn main() {
     spasm_bench::smoke_from_args();
     let scale = spasm_bench::scale_from_args();
     println!(
-        "repeated-SpMV serving loop | scale: {} | parallel feature: {}",
+        "repeated-SpMV serving loop | scale: {} | thread budget: {}",
         spasm_bench::scale_name(scale),
-        cfg!(feature = "parallel")
+        rayon::current_num_threads()
     );
 
     // A structural cross-section of Table II: blocked FEM, anti-diagonal

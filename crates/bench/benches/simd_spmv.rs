@@ -8,18 +8,17 @@
 //! The comparison isolates what the PR-7 hot-loop restructuring buys:
 //! branch-free per-class kernels over the SoA streams, contiguous 4-slot
 //! value loads, hoisted x-gather selectors, and `LANE_BLOCK` batch-lane
-//! fusion. Built with `--features simd` the classed path additionally
-//! runs the explicit SSE2 kernels; the emitted JSON records which
-//! feature set was active so scalar and SIMD artifacts stay
-//! distinguishable.
+//! fusion. On x86_64 the classed path runs the explicit SSE2 kernels;
+//! the emitted JSON records which class kernel the target compiled so
+//! scalar and SSE2 artifacts stay distinguishable.
 //!
 //! Both paths are asserted bit-identical before timing — the
 //! classed executor stages per-instance outputs and scatters them in
 //! stream order, so it is the same computation, not an approximation.
 //! Results go to `BENCH_simd_spmv.json`.
 //!
-//! Run with `cargo bench -p spasm-bench --bench simd_spmv` (add
-//! `--features simd` for the SSE2 kernels; `--smoke` for CI liveness).
+//! Run with `cargo bench -p spasm-bench --bench simd_spmv` (`--smoke`
+//! for CI liveness).
 //! `SPASM_BENCH_ASSERT=1` arms the batch-8 speedup floor.
 
 use std::fmt::Write as _;
@@ -59,10 +58,10 @@ fn main() {
     spasm_bench::smoke_from_args();
     let scale = spasm_bench::scale_from_args();
     println!(
-        "classed-kernel SpMV | scale: {} | parallel: {} | simd: {}",
+        "classed-kernel SpMV | scale: {} | thread budget: {} | kernel: {}",
         spasm_bench::scale_name(scale),
-        cfg!(feature = "parallel"),
-        cfg!(feature = "simd")
+        rayon::current_num_threads(),
+        spasm_bench::kernel_name()
     );
 
     // Same structural cross-section as the other serving benches.
@@ -100,8 +99,8 @@ fn main() {
             })
             .collect();
 
-        // Bit-identity gate: the classed (and, under `simd`, SSE2) path
-        // must be the same computation as the per-instance reference.
+        // Bit-identity gate: the classed (on x86_64, SSE2) path must be
+        // the same computation as the per-instance reference.
         let mut want = vec![vec![0.0f32; n_rows]; BATCH];
         plan.run_batch_reference(&xs, &mut want)
             .expect("run_batch_reference");

@@ -16,8 +16,8 @@ fn main() {
     spasm_bench::smoke_from_args();
     let threads = std::thread::available_parallelism().map_or(1, usize::from);
     println!(
-        "host threads: {threads} | parallel feature: {}",
-        cfg!(feature = "parallel")
+        "host threads: {threads} | thread budget: {}",
+        rayon::current_num_threads()
     );
 
     let m = Workload::Raefsky3.generate(Scale::Small);

@@ -83,16 +83,25 @@ pub fn host_cores() -> usize {
     std::thread::available_parallelism().map_or(1, usize::from)
 }
 
-/// JSON fragment recording the active cargo feature set and the host core
-/// count — spliced into every bench artifact so JSONs produced by
-/// different CI configurations (serial vs parallel, scalar vs simd,
-/// laptop vs runner) are distinguishable after the fact. The fragment is
-/// two complete `"key": value,` lines, indented for a top-level object.
+/// The class kernel the target compiles: explicit SSE2 on x86_64 (where
+/// it is baseline), scalar everywhere else.
+pub fn kernel_name() -> &'static str {
+    if cfg!(target_arch = "x86_64") {
+        "sse2"
+    } else {
+        "scalar"
+    }
+}
+
+/// JSON fragment recording the class kernel and the host core count —
+/// spliced into every bench artifact so JSONs produced on different
+/// targets and hosts (x86_64 vs other, laptop vs runner) are
+/// distinguishable after the fact. The fragment is two complete
+/// `"key": value,` lines, indented for a top-level object.
 pub fn metadata_json() -> String {
     format!(
-        "  \"features\": {{\"parallel\": {}, \"simd\": {}}},\n  \"cores\": {},\n",
-        cfg!(feature = "parallel"),
-        cfg!(feature = "simd"),
+        "  \"kernel\": \"{}\",\n  \"cores\": {},\n",
+        kernel_name(),
         host_cores()
     )
 }
@@ -207,8 +216,8 @@ pub mod timing {
     }
 
     /// Prints a `serial vs parallel` comparison line. On single-core
-    /// machines (or serial builds) the ratio hovers around 1.0 — the
-    /// benches report, they do not assert.
+    /// machines the ratio hovers around 1.0 — the benches report, they do
+    /// not assert.
     pub fn report_speedup(what: &str, serial: &Measurement, parallel: &Measurement) {
         println!(
             "  -> {what}: parallel is {:.2}x vs serial (min {:?} vs {:?})",
@@ -236,9 +245,12 @@ mod tests {
     #[test]
     fn metadata_fragment_reflects_build() {
         let md = metadata_json();
-        assert!(md.contains("\"features\""));
-        assert!(md.contains(&format!("\"parallel\": {}", cfg!(feature = "parallel"))));
-        assert!(md.contains(&format!("\"simd\": {}", cfg!(feature = "simd"))));
+        let kernel = if cfg!(target_arch = "x86_64") {
+            "sse2"
+        } else {
+            "scalar"
+        };
+        assert!(md.contains(&format!("\"kernel\": \"{kernel}\"")));
         assert!(md.contains(&format!("\"cores\": {}", host_cores())));
     }
 }

@@ -107,8 +107,8 @@ impl PipelineOptions {
 /// Thread budget for preprocessing.
 ///
 /// Preprocessing output is bit-identical for every variant (enforced by
-/// `tests/determinism.rs`); only wall-clock changes. Without the `parallel`
-/// cargo feature every variant executes serially.
+/// `tests/determinism.rs`); only wall-clock changes. A budget of one runs
+/// every stage inline on the calling thread.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Parallelism {
     /// Use every available core.
@@ -134,9 +134,7 @@ impl Parallelism {
     }
 }
 
-/// Runs `f` under the pipeline's thread budget. With the `parallel` feature
-/// disabled this is the identity: everything already runs serially.
-#[cfg(feature = "parallel")]
+/// Runs `f` under the pipeline's thread budget.
 fn with_parallelism<R>(parallelism: Parallelism, f: impl FnOnce() -> R) -> R {
     match rayon::ThreadPoolBuilder::new()
         .num_threads(parallelism.resolved_threads())
@@ -147,22 +145,6 @@ fn with_parallelism<R>(parallelism: Parallelism, f: impl FnOnce() -> R) -> R {
         // fails, run under the ambient budget rather than aborting.
         Err(_) => f(),
     }
-}
-
-#[cfg(not(feature = "parallel"))]
-fn with_parallelism<R>(_parallelism: Parallelism, f: impl FnOnce() -> R) -> R {
-    f()
-}
-
-/// The worker budget in effect on the current thread (1 in serial builds).
-#[cfg(feature = "parallel")]
-fn current_threads() -> usize {
-    rayon::current_num_threads()
-}
-
-#[cfg(not(feature = "parallel"))]
-fn current_threads() -> usize {
-    1
 }
 
 /// Wall-clock cost of each preprocessing stage — the rows of Table VIII.
@@ -244,13 +226,15 @@ impl Pipeline {
     /// Propagates per-matrix pipeline errors; an empty slice is an
     /// [`PipelineError::EmptySearchSpace`].
     pub fn prepare_set(&self, matrices: &[Coo]) -> Result<Vec<Prepared>, PipelineError> {
+        use rayon::prelude::*;
+
         if matrices.is_empty() {
             return Err(PipelineError::EmptySearchSpace("input matrix"));
         }
         with_parallelism(self.options.parallelism, || {
             // ① analyse every matrix (in parallel — matrices are
             // independent); ② select one shared portfolio.
-            let maps = Pipeline::analyze_set(matrices);
+            let maps: Vec<_> = matrices.par_iter().map(SubmatrixMap::from_coo).collect();
             let histograms: Vec<_> = maps.iter().map(SubmatrixMap::histogram).collect();
             let shared = selection::select_for_matrix_set(
                 &histograms,
@@ -264,35 +248,13 @@ impl Pipeline {
             // fan-out flat instead of quadratic.
             let pinned =
                 Pipeline::with_options(self.options.clone().fixed_portfolio(shared.set.clone()));
-            Pipeline::prepare_each(&pinned, matrices)
+            matrices
+                .par_iter()
+                .map(|m| pinned.prepare_inner(m))
+                .collect::<Vec<_>>()
+                .into_iter()
+                .collect()
         })
-    }
-
-    #[cfg(feature = "parallel")]
-    fn analyze_set(matrices: &[Coo]) -> Vec<SubmatrixMap> {
-        use rayon::prelude::*;
-        matrices.par_iter().map(SubmatrixMap::from_coo).collect()
-    }
-
-    #[cfg(not(feature = "parallel"))]
-    fn analyze_set(matrices: &[Coo]) -> Vec<SubmatrixMap> {
-        matrices.iter().map(SubmatrixMap::from_coo).collect()
-    }
-
-    #[cfg(feature = "parallel")]
-    fn prepare_each(pinned: &Pipeline, matrices: &[Coo]) -> Result<Vec<Prepared>, PipelineError> {
-        use rayon::prelude::*;
-        matrices
-            .par_iter()
-            .map(|m| pinned.prepare_inner(m))
-            .collect::<Vec<_>>()
-            .into_iter()
-            .collect()
-    }
-
-    #[cfg(not(feature = "parallel"))]
-    fn prepare_each(pinned: &Pipeline, matrices: &[Coo]) -> Result<Vec<Prepared>, PipelineError> {
-        matrices.iter().map(|m| pinned.prepare_inner(m)).collect()
     }
 
     /// Runs preprocessing (steps ①–⑤) on a matrix and returns everything
@@ -310,7 +272,7 @@ impl Pipeline {
     /// `prepare_set` workers do not stack budgets).
     fn prepare_inner(&self, matrix: &Coo) -> Result<Prepared, PipelineError> {
         let mut timings = StageTimings {
-            threads: current_threads(),
+            threads: rayon::current_num_threads(),
             ..StageTimings::default()
         };
 
@@ -796,14 +758,14 @@ impl Prepared {
         let mut health = with_parallelism(parallelism, || plan.run_deferred(x, scope))?;
 
         // Residual cross-check: the sampled rows' SPASM contributions must
-        // agree with the golden CSR dot products to within the policy
-        // tolerance (the two datapaths accumulate in different orders).
+        // agree with the golden CSR dot products (see
+        // `IntegrityPolicy::cross_check_fails`).
         if matches!(self.integrity.mode, IntegrityMode::Sampled(_)) {
             for &r in &self.sample_rows {
                 let want = golden_row_dot(self.golden.get(&self.encoded), r, x);
                 let got = self.plan.contribution(r);
                 health.rows_cross_checked += 1;
-                if (got - want).abs() > self.integrity.tolerance * (1.0 + want.abs()) {
+                if self.integrity.cross_check_fails(got, want) {
                     health.rows_failed_cross_check += 1;
                     if health.first_failed_tile_row.is_none() {
                         health.first_failed_tile_row = self

@@ -105,11 +105,34 @@ impl IntegrityPolicy {
         self.tolerance = tolerance;
         self
     }
+
+    /// Whether a sampled row's accelerator output `got` fails the
+    /// cross-check against the golden CSR dot product `want`: it differs
+    /// by more than the relative tolerance (the two datapaths accumulate
+    /// in different orders), or exactly one side is NaN. Two NaNs agree
+    /// (NaN payloads are unspecified). Without the NaN rule a corruption
+    /// that turns a row into NaN would pass, since every comparison with
+    /// NaN is false.
+    pub(crate) fn cross_check_fails(&self, got: f32, want: f32) -> bool {
+        if got.is_nan() || want.is_nan() {
+            return got.is_nan() != want.is_nan();
+        }
+        (got - want).abs() > self.tolerance * (1.0 + want.abs())
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn cross_check_fails_a_one_sided_nan() {
+        let p = IntegrityPolicy::sampled(4, 0);
+        assert!(p.cross_check_fails(f32::NAN, 1.0));
+        assert!(p.cross_check_fails(1.0, f32::NAN));
+        assert!(!p.cross_check_fails(f32::NAN, f32::from_bits(0xffc1_2345)));
+        assert!(!p.cross_check_fails(1.0, 1.0 + 1e-6));
+    }
 
     #[test]
     fn defaults_are_off_with_fallback() {

@@ -150,7 +150,6 @@ fn eval_tile(
         .collect())
 }
 
-#[cfg(feature = "parallel")]
 fn sweep_tiles(
     map: &SubmatrixMap,
     table: &DecompositionTable,
@@ -160,19 +159,6 @@ fn sweep_tiles(
     use rayon::prelude::*;
     tile_sizes
         .par_iter()
-        .map(|&tile_size| eval_tile(map, table, tile_size, configs))
-        .collect()
-}
-
-#[cfg(not(feature = "parallel"))]
-fn sweep_tiles(
-    map: &SubmatrixMap,
-    table: &DecompositionTable,
-    tile_sizes: &[u32],
-    configs: &[HwConfig],
-) -> Vec<TileReport> {
-    tile_sizes
-        .iter()
         .map(|&tile_size| eval_tile(map, table, tile_size, configs))
         .collect()
 }

@@ -23,10 +23,13 @@
 //!    folds the staged outputs into the y window in original stream
 //!    order. Each instance's output is a pure function of its operands —
 //!    identical bits in any execution order — and the scatter replays the
-//!    exact accumulation sequence of the reference loop, so the window is
-//!    **bit-identical** to the reference loop, including signed zeros
-//!    and NaN payloads. No FMA contraction is used anywhere (`a*b` and
-//!    `+` stay separate IEEE ops), so no ULP bound is needed.
+//!    exact accumulation sequence of the reference loop, so every non-NaN
+//!    output of the window — signed zeros included — is **bit-identical**
+//!    to the reference loop. No FMA contraction is used anywhere (`a*b`
+//!    and `+` stay separate IEEE ops), so no ULP bound is needed. Which
+//!    NaN payload an operation returns is not fixed by IEEE 754 or Rust,
+//!    so a NaN output is only guaranteed to be NaN on both paths; the
+//!    plan's integrity ladder treats two NaNs as agreeing.
 //!
 //! 3. **Batch-lane fusion.** The kernels take a lane count: one walk of an
 //!    instance's metadata (bucket index, x base, value quadruple, class
@@ -36,15 +39,15 @@
 //!    1-lane block), which keeps the staging buffer L1-resident (the
 //!    vector-blocked layout the large-batch bench measures).
 //!
-//! Under the `simd` cargo feature (x86_64) the class kernel's datapath is
-//! written with explicit SSE2 intrinsics — a 4-wide multiply, the two
-//! pair adders and the total adder as shuffles+adds, mirroring the
-//! hardware's 4 multipliers + 3 adders. Lane-wise `mulps`/`addps` round
-//! exactly like their scalar counterparts and the pair/total nodes are
-//! read from lanes whose operand order matches the scalar tree, so the
-//! `simd` path is bit-identical too (asserted across the differential
-//! zoo). On other architectures the feature falls back to the scalar
-//! class kernel.
+//! On x86_64, where SSE2 is part of the baseline, the class kernel's
+//! datapath is written with explicit SSE2 intrinsics — a 4-wide multiply,
+//! the two pair adders and the total adder as shuffles+adds, mirroring
+//! the hardware's 4 multipliers + 3 adders. Lane-wise `mulps`/`addps`
+//! round exactly like their scalar counterparts and the pair/total nodes
+//! are read from lanes whose operand order matches the scalar tree, so
+//! every non-NaN output is bit-identical to the scalar kernel (asserted
+//! over every compilable template mask in this module's tests). Other
+//! targets run the scalar class kernel.
 
 use crate::valu::{OutNode, ValuOpcode};
 
@@ -263,35 +266,17 @@ fn scatter_block(
     }
 }
 
-/// Pass 1 (scalar): one class run, branch-free. All selector state is
-/// loop-invariant, every access pattern is affine in the bucket index, and
-/// the 8-node mux is an indexed load from a stack array — no enum
-/// dispatch in the body, so the compiler is free to unroll and
-/// autovectorize.
-#[cfg(not(all(feature = "simd", target_arch = "x86_64")))]
-#[allow(clippy::too_many_arguments)]
-fn compute_run(
-    kern: ClassKernel,
-    idx: &[u32],
-    soa: SoaRef<'_>,
-    xs: &[f32],
-    xstride: usize,
-    lane0: usize,
-    lanes: usize,
-    blk_i0: usize,
-    stage: &mut [f32],
-) {
-    compute_run_scalar(kern, idx, soa, xs, xstride, lane0, lanes, blk_i0, stage);
-}
+/// Pass 1 on targets without the SSE2 body: the scalar class run.
+#[cfg(not(target_arch = "x86_64"))]
+use compute_run_scalar as compute_run;
 
-/// Pass 1 (`simd` feature, x86_64): the same class run with the VALU
-/// datapath as explicit SSE2 — `mulps` for the 4 multipliers, two
-/// shuffle+`addps` stages for the pair and total adders. Only lanes whose
-/// operand order matches the scalar tree are read back (lane 0 of the
-/// pair vector is `p0+p1`, lane 2 is `p2+p3`, lane 0 of the total is
-/// `(p0+p1)+(p2+p3)`), so the result is bit-identical to the scalar
-/// kernel, NaN payloads included.
-#[cfg(all(feature = "simd", target_arch = "x86_64"))]
+/// Pass 1 (x86_64): one class run with the VALU datapath as explicit
+/// SSE2 — `mulps` for the 4 multipliers, two shuffle+`addps` stages for
+/// the pair and total adders. Only lanes whose operand order matches the
+/// scalar tree are read back (lane 0 of the pair vector is `p0+p1`, lane
+/// 2 is `p2+p3`, lane 0 of the total is `(p0+p1)+(p2+p3)`), so every
+/// non-NaN output is bit-identical to `compute_run_scalar`.
+#[cfg(target_arch = "x86_64")]
 #[allow(clippy::too_many_arguments)]
 fn compute_run(
     kern: ClassKernel,
@@ -350,9 +335,13 @@ fn compute_run(
     }
 }
 
-/// The scalar class-run body shared by the default build and the `simd`
-/// fallback on non-x86_64 targets.
-#[cfg_attr(all(feature = "simd", target_arch = "x86_64"), allow(dead_code))]
+/// Pass 1 (scalar): one class run, branch-free. All selector state is
+/// loop-invariant, every access pattern is affine in the bucket index, and
+/// the 8-node mux is an indexed load from a stack array — no enum
+/// dispatch in the body, so the compiler is free to unroll and
+/// autovectorize. The only kernel on targets other than x86_64; on x86_64
+/// it is compiled for tests only, as the reference for the SSE2 body.
+#[cfg(any(test, not(target_arch = "x86_64")))]
 #[allow(clippy::too_many_arguments)]
 fn compute_run_scalar(
     kern: ClassKernel,
@@ -414,6 +403,83 @@ mod tests {
         let op = ValuOpcode::compile(0b0011_0011).unwrap();
         let k = ClassKernel::from_opcode(op);
         assert_eq!(k.sel, [4, 5, 7, 7]);
+    }
+
+    /// The SSE2 class kernel against the scalar one, over every template
+    /// mask the VALU can compile, every lane count and a value set full of
+    /// IEEE 754 edge cases: identical bits on every non-NaN output, and NaN
+    /// exactly where the other kernel gives NaN (payloads may differ).
+    #[cfg(target_arch = "x86_64")]
+    #[test]
+    fn sse2_kernel_matches_scalar_on_every_mask_and_lane_count() {
+        const SPECIALS: [u32; 10] = [
+            0x7fc0_0001,             // quiet NaN, payload 1
+            0xffc1_2345,             // negative quiet NaN, payload 0x12345
+            0x7f80_0001,             // signalling NaN
+            0x0000_0000,             // +0.0
+            0x8000_0000,             // -0.0
+            0x7f80_0000,             // +inf
+            0xff80_0000,             // -inf
+            0x0000_0001,             // smallest subnormal
+            0x3fc0_0000,             // 1.5
+            (-3.25e38f32).to_bits(), // near -f32::MAX
+        ];
+        // Deterministic draws over SPECIALS; the multiplier spreads
+        // consecutive slots across the whole set.
+        let pick = |k: usize| f32::from_bits(SPECIALS[k * 7919 % 9973 % SPECIALS.len()]);
+        const INSTANCES: usize = 16;
+        let xstride = 4 * INSTANCES;
+        let values: Vec<f32> = (0..4 * INSTANCES).map(pick).collect();
+        let xs: Vec<f32> = (0..LANE_BLOCK * xstride).map(|k| pick(k + 1000)).collect();
+        let x_base: Vec<u32> = (0..INSTANCES as u32).map(|i| 4 * i).collect();
+        let y_base = vec![0u32; INSTANCES];
+        let idx: Vec<u32> = (0..INSTANCES as u32).collect();
+
+        let (mut masks, mut outputs, mut nans) = (0usize, 0usize, 0usize);
+        let mut sse2 = vec![0.0f32; STAGE_STRIDE];
+        let mut scalar = vec![0.0f32; STAGE_STRIDE];
+        for mask in 1..=u16::MAX {
+            let Ok(op) = ValuOpcode::compile(mask) else {
+                continue;
+            };
+            masks += 1;
+            let kern = ClassKernel::from_opcode(op);
+            let kernels = [kern];
+            let soa = SoaRef {
+                x_base: &x_base,
+                y_base: &y_base,
+                values: &values,
+                kernels: &kernels,
+            };
+            for lanes in 1..=LANE_BLOCK {
+                let lane0 = (mask as usize) % (LANE_BLOCK - lanes + 1);
+                compute_run(kern, &idx, soa, &xs, xstride, lane0, lanes, 0, &mut sse2);
+                compute_run_scalar(kern, &idx, soa, &xs, xstride, lane0, lanes, 0, &mut scalar);
+                let n = INSTANCES * lanes * 4;
+                for (k, (a, b)) in sse2[..n].iter().zip(&scalar[..n]).enumerate() {
+                    assert_eq!(
+                        a.is_nan(),
+                        b.is_nan(),
+                        "mask {mask:#06x} lanes {lanes} slot {k}"
+                    );
+                    if a.is_nan() {
+                        nans += 1;
+                    } else {
+                        assert_eq!(
+                            a.to_bits(),
+                            b.to_bits(),
+                            "mask {mask:#06x} lanes {lanes} slot {k}: {a} vs {b}"
+                        );
+                    }
+                }
+                outputs += n;
+            }
+        }
+        assert_eq!(masks, 1244, "every compilable 4-cell template mask");
+        assert!(
+            nans > 0 && nans < outputs,
+            "the draw must mix NaN and non-NaN outputs"
+        );
     }
 
     #[test]

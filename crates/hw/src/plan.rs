@@ -15,8 +15,9 @@
 //! * each tile row's instance span is cut into fixed-size blocks whose
 //!   indices are stably sorted by opcode class at prepare time, feeding
 //!   the branch-free class kernels (see the `kernel` module) —
-//!   bit-identical to the per-instance walk of the [`reference`] module,
-//!   which stays as the verification oracle and as
+//!   bit-identical on every non-NaN output to the per-instance walk of
+//!   the [`reference`] module (NaN payloads are unspecified, see
+//!   `outputs_agree`), which stays as the verification oracle and as
 //!   [`ExecutionPlan::run_batch_reference`] for differential tests and
 //!   baselines;
 //! * the tile-row layout (instance spans, disjoint y windows), per-tile
@@ -44,12 +45,11 @@
 //! row are lane-blocked through the class kernels, so one instance walk
 //! feeds up to [`ExecutionPlan::LANE_BLOCK`] vectors. The pairs are
 //! chunked contiguously, balanced by instance count: one chunk runs
-//! inline, several run on scoped threads when the `parallel` cargo feature
-//! and the ambient worker budget (`rayon::current_num_threads` from the
-//! vendored shim — the same budget `Parallelism` installs) allow. Every
-//! (tile row, vector) pair owns a disjoint packed y window that is
-//! accumulated in stream order, so the result is bit-identical for every
-//! batch size and thread count.
+//! inline, several run on scoped threads when the ambient worker budget
+//! (`rayon::current_num_threads` from the vendored shim — the same budget
+//! `Parallelism` installs) allows. Every (tile row, vector) pair owns a
+//! disjoint packed y window that is accumulated in stream order, so the
+//! result is bit-identical for every batch size and thread count.
 //!
 //! # Batched serving
 //!
@@ -529,7 +529,7 @@ impl ExecutionPlan {
             report,
             xb: vec![0.0; xp_len],
             yb: vec![0.0; window_total],
-            chunks: Vec::with_capacity(worker_budget().max(1) + 1),
+            chunks: Vec::with_capacity(rayon::current_num_threads().max(1) + 1),
             vp: vec![0.0; max_window],
             stage: vec![0.0; kernel::STAGE_STRIDE],
             #[cfg(feature = "fault-injection")]
@@ -970,7 +970,7 @@ impl ExecutionPlan {
     /// All x-vectors are padded once into a strided scratch; each tile
     /// row's span of the pre-decoded instance stream is then applied to
     /// blocks of vectors while it is hot in cache, instead of being
-    /// re-streamed per vector. Under the `parallel` feature the fan-out
+    /// re-streamed per vector. With a worker budget above one the fan-out
     /// chunks (tile-row × vector) pairs balanced by instance count, so a
     /// small matrix with a large batch still saturates threads. Each
     /// output is bit-identical to a looped [`ExecutionPlan::run`] over the
@@ -1353,7 +1353,7 @@ impl ExecutionPlan {
 
         self.chunks.clear();
         self.chunks.push(0);
-        let budget = worker_budget();
+        let budget = rayon::current_num_threads();
         if !self.is_armed() && budget >= 2 && n_pairs >= 2 {
             let parts = budget.min(n_pairs);
             let total = self.cum_instances[self.cum_instances.len() - 1] * batch;
@@ -1537,10 +1537,11 @@ impl ExecutionPlan {
         }
     }
 
-    /// Verifies one tile row's (batch-1) window bit-for-bit against the
-    /// pristine oracle; on mismatch, quarantines it and re-executes it
-    /// once through the executor's walk with stream faults off (transient
-    /// stream faults heal, persistent lane faults do not).
+    /// Verifies one tile row's (batch-1) window against the pristine
+    /// oracle — bit-for-bit, except that two NaNs agree; on mismatch,
+    /// quarantines it and re-executes it once through the executor's walk
+    /// with stream faults off (transient stream faults heal, persistent
+    /// lane faults do not).
     fn verify_row(&mut self, r: usize, health: &mut HealthReport) {
         let (w0, w1) = self.window_spans[r];
         let (i0, i1) = self.inst_ranges[r];
@@ -1549,8 +1550,8 @@ impl ExecutionPlan {
         health.tile_rows_verified += 1;
 
         // The oracle is always the per-instance reference walk — the class
-        // kernels are bit-identical to it, so this doubles as a
-        // kernel-vs-reference check on every verified row.
+        // kernels are bit-identical to it on every non-NaN output, so this
+        // doubles as a kernel-vs-reference check on every verified row.
         let xstride = self.xstride();
         let oracle = &mut self.vp[..wlen];
         oracle.fill(0.0);
@@ -1565,7 +1566,7 @@ impl ExecutionPlan {
             i0,
             i1,
         );
-        if bits_equal(&self.yb[at..at + wlen], &self.vp[..wlen]) {
+        if outputs_agree(&self.yb[at..at + wlen], &self.vp[..wlen]) {
             return;
         }
         health.tile_rows_quarantined += 1;
@@ -1578,7 +1579,7 @@ impl ExecutionPlan {
         let window = &mut yb[at..at + wlen];
         window.fill(0.0);
         walk.pairs(r, r + 1, window, &mut stage[..kernel::STAGE_STRIDE]);
-        if bits_equal(&self.yb[at..at + wlen], &self.vp[..wlen]) {
+        if outputs_agree(&self.yb[at..at + wlen], &self.vp[..wlen]) {
             health.tile_rows_corrected += 1;
         } else {
             health.tile_rows_uncorrected += 1;
@@ -1832,18 +1833,16 @@ struct Strike<'a> {
     lut: &'a [ValuOpcode],
 }
 
-/// The worker budget the fan-out may use (always 1 in serial builds).
-fn worker_budget() -> usize {
-    #[cfg(feature = "parallel")]
-    return rayon::current_num_threads();
-    #[cfg(not(feature = "parallel"))]
-    1
-}
-
-/// `true` when the two slices are bit-for-bit identical (NaN-safe, unlike
-/// `==` on floats).
-fn bits_equal(a: &[f32], b: &[f32]) -> bool {
-    a.len() == b.len() && a.iter().zip(b).all(|(x, y)| x.to_bits() == y.to_bits())
+/// `true` when the two windows agree: every output pair is bit-for-bit
+/// identical or NaN on both sides. IEEE 754 (and Rust) leave the payload
+/// an operation returns unspecified, so the class kernels and the
+/// reference walk may propagate different NaN payloads from the same
+/// inputs; every non-NaN output must still match exactly.
+fn outputs_agree(a: &[f32], b: &[f32]) -> bool {
+    a.len() == b.len()
+        && a.iter()
+            .zip(b)
+            .all(|(x, y)| x.to_bits() == y.to_bits() || (x.is_nan() && y.is_nan()))
 }
 
 /// The worked tile rows of a tile directory, in stream order: `(tile_row,
@@ -2326,8 +2325,7 @@ mod tests {
         ));
     }
 
-    /// Runs `f` under a `threads`-wide worker budget (ignored by serial
-    /// builds, whose plans always run one chunk).
+    /// Runs `f` under a `threads`-wide worker budget.
     fn with_budget<R>(threads: usize, f: impl FnOnce() -> R) -> R {
         rayon::ThreadPoolBuilder::new()
             .num_threads(threads)

@@ -32,10 +32,8 @@ fn block_map_range(
 }
 
 /// Triplet count below which sharding costs more than it saves.
-#[cfg(feature = "parallel")]
 const PARALLEL_ANALYZE_THRESHOLD: usize = 1 << 14;
 
-#[cfg(feature = "parallel")]
 fn block_map(matrix: &Coo, size: GridSize) -> HashMap<(u32, u32), Mask> {
     use rayon::prelude::*;
 
@@ -61,11 +59,6 @@ fn block_map(matrix: &Coo, size: GridSize) -> HashMap<(u32, u32), Mask> {
         }
     }
     merged
-}
-
-#[cfg(not(feature = "parallel"))]
-fn block_map(matrix: &Coo, size: GridSize) -> HashMap<(u32, u32), Mask> {
-    block_map_range(matrix, size, 0, matrix.nnz())
 }
 
 /// Frequency histogram of the local patterns occurring in a matrix.
@@ -101,8 +94,8 @@ impl PatternHistogram {
     /// submatrices and histograms their occupancy bitmasks. Empty
     /// submatrices are skipped (the paper excludes the empty block).
     ///
-    /// With the `parallel` feature (and more than one worker available)
-    /// the triplet stream is sharded into contiguous ranges, each worker
+    /// With more than one worker in the ambient thread budget, the
+    /// triplet stream is sharded into contiguous ranges, each worker
     /// accumulates a private block map, and the shards are OR-merged by
     /// mask — bitwise OR is associative and commutative, so the histogram
     /// is identical to the serial one for every thread count.

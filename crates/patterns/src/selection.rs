@@ -129,7 +129,6 @@ fn score_one(set: &TemplateSet, subset: &PatternHistogram) -> (Option<u64>, Deco
     (paddings, table)
 }
 
-#[cfg(feature = "parallel")]
 fn score_candidates(
     candidates: &[TemplateSet],
     subset: &PatternHistogram,
@@ -137,17 +136,6 @@ fn score_candidates(
     use rayon::prelude::*;
     candidates
         .par_iter()
-        .map(|set| score_one(set, subset))
-        .collect()
-}
-
-#[cfg(not(feature = "parallel"))]
-fn score_candidates(
-    candidates: &[TemplateSet],
-    subset: &PatternHistogram,
-) -> Vec<(Option<u64>, DecompositionTable)> {
-    candidates
-        .iter()
         .map(|set| score_one(set, subset))
         .collect()
 }

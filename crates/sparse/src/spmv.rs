@@ -113,8 +113,8 @@ impl Csr {
     /// scalar kernel as [`SpMv::spmv`] — the result is bit-for-bit
     /// identical to the serial product for any thread count.
     ///
-    /// Without the `parallel` feature (or with a single worker) this is the
-    /// serial kernel.
+    /// With a single worker in the ambient thread budget this is the
+    /// serial kernel, run on the caller's thread.
     ///
     /// # Errors
     ///
@@ -126,7 +126,6 @@ impl Csr {
         Ok(())
     }
 
-    #[cfg(feature = "parallel")]
     fn spmv_parallel_inner(&self, x: &[Value], y: &mut [Value]) {
         let rows = y.len();
         let threads = rayon::current_num_threads();
@@ -166,11 +165,6 @@ impl Csr {
                 scope.spawn(move || csr_row_range(self, x, out, first));
             }
         });
-    }
-
-    #[cfg(not(feature = "parallel"))]
-    fn spmv_parallel_inner(&self, x: &[Value], y: &mut [Value]) {
-        csr_row_range(self, x, y, 0);
     }
 }
 

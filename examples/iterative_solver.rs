@@ -135,7 +135,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // Verify every solution residual with an independent host-side SpMV —
     // the row-partitioned parallel CSR kernel (bit-identical to the serial
-    // one; serial fallback without the `parallel` feature).
+    // one for every thread budget).
     let csr = spasm_sparse::Csr::from(&a);
     for k in 0..K {
         let mut ax = vec![0.0f32; n];

@@ -89,8 +89,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     }
 
     // Cross-check the final propagation on the host with the
-    // row-partitioned parallel CSR kernel (serial fallback without the
-    // `parallel` feature).
+    // row-partitioned parallel CSR kernel (serial on a 1-thread budget).
     let csr = spasm_sparse::Csr::from(&a);
     let mut host = vec![0.0f32; n as usize];
     csr.spmv_parallel(&rank, &mut host)?;

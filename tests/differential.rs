@@ -313,8 +313,8 @@ fn execute_batch_matches_looped_execute_under_every_policy() {
     }
 }
 
-/// Runs `f` under an explicit ambient worker budget (no-op in serial
-/// builds, where every budget degenerates to one worker).
+/// Runs `f` under an explicit ambient worker budget (a budget of one
+/// runs inline on the calling thread).
 fn with_budget<R>(threads: usize, f: impl FnOnce() -> R) -> R {
     rayon::ThreadPoolBuilder::new()
         .num_threads(threads)
@@ -361,9 +361,10 @@ fn dispatch_zoo() -> Vec<Coo> {
 fn classed_dispatch_is_bit_identical_to_per_instance() {
     // The class-bucketed kernels must reproduce the per-instance enum walk
     // bit for bit, for every batch size and thread budget. The reference
-    // walk (`ExecutionPlan::run_batch_reference`) is always scalar, so
-    // building this suite with `--features simd` turns it into the
-    // SIMD-vs-scalar differential; CI runs it both ways.
+    // walk (`ExecutionPlan::run_batch_reference`) is always scalar, so on
+    // x86_64 this is also an SSE2-vs-scalar differential at the plan
+    // level; the kernel-level comparison over every template mask lives
+    // in the hw crate's `kernel` tests.
     for m in dispatch_zoo() {
         let n_rows = m.rows() as usize;
         let prepared = Pipeline::new().prepare(&m).unwrap();
@@ -396,6 +397,104 @@ fn classed_dispatch_is_bit_identical_to_per_instance() {
                         m.nnz()
                     );
                 }
+            }
+        }
+    }
+}
+
+/// NaN payloads and infinities the non-finite differential draws from.
+const NON_FINITE: [u32; 4] = [0x7fc0_0001, 0xffc1_2345, 0x7f80_0000, 0xff80_0000];
+
+/// About a quarter non-finite, the rest small multiples of 0.25.
+fn non_finite_draw(rng: &mut SmallRng) -> f32 {
+    if rng.gen_range(0..4) == 0 {
+        f32::from_bits(NON_FINITE[rng.gen_range(0..NON_FINITE.len())])
+    } else {
+        rng.gen_range(-8..=8) as f32 * 0.25
+    }
+}
+
+/// `true` when every output pair has identical bits or is NaN on both
+/// sides — which NaN payload an operation returns is unspecified.
+fn agrees_up_to_nan_payload(a: &[f32], b: &[f32]) -> bool {
+    a.len() == b.len()
+        && a.iter()
+            .zip(b)
+            .all(|(x, y)| x.to_bits() == y.to_bits() || (x.is_nan() && y.is_nan()))
+}
+
+/// 200×200 with 1 200 scattered entries: most 4×4 submatrices hold one
+/// entry, so most template slots are padding.
+fn scattered_non_finite(rng: &mut SmallRng) -> Coo {
+    let t: Vec<(u32, u32, f32)> = (0..1200)
+        .map(|_| {
+            let (r, c) = (rng.gen_range(0..200), rng.gen_range(0..200));
+            (r, c, non_finite_draw(rng))
+        })
+        .collect();
+    Coo::from_triplets(200, 200, t).unwrap()
+}
+
+/// 200×200 built from 60 dense 4×4 blocks, which the templates cover
+/// without padding: every product the datapath forms is one CSR forms too.
+fn dense_blocks_non_finite(rng: &mut SmallRng) -> Coo {
+    let mut t = Vec::new();
+    for _ in 0..60 {
+        let (br, bc) = (rng.gen_range(0..50u32), rng.gen_range(0..50u32));
+        for k in 0..16u32 {
+            t.push((br * 4 + k / 4, bc * 4 + k % 4, non_finite_draw(rng)));
+        }
+    }
+    Coo::from_triplets(200, 200, t).unwrap()
+}
+
+#[test]
+fn non_finite_inputs_pass_the_integrity_ladder_clean() {
+    // NaN and ±inf in the matrix and in x are data, not corruption: the
+    // class kernels may propagate a different NaN payload than the
+    // reference walk, and the ladder must neither quarantine a tile row
+    // nor fall back to golden CSR over it. The sampled policy also
+    // cross-checks rows against CSR, which never multiplies a padded slot
+    // (0 × inf is NaN), so it runs on padding-free matrices.
+    let mut rng = SmallRng::seed_from_u64(0xD1FF_000A);
+    for policy in [IntegrityPolicy::full(), IntegrityPolicy::sampled(16, 11)] {
+        for _ in 0..6 {
+            let m = if policy == IntegrityPolicy::full() {
+                scattered_non_finite(&mut rng)
+            } else {
+                dense_blocks_non_finite(&mut rng)
+            };
+            let xs: Vec<Vec<f32>> = (0..3)
+                .map(|_| (0..200).map(|_| non_finite_draw(&mut rng)).collect())
+                .collect();
+            let opts = PipelineOptions::default().integrity(policy);
+            let mut prepared = Pipeline::with_options(opts).prepare(&m).unwrap();
+            let mut oracle = prepared.accelerator().prepare(&prepared.encoded).unwrap();
+            let mut want = vec![vec![0.0f32; 200]; xs.len()];
+            oracle.run_batch_reference(&xs, &mut want).unwrap();
+
+            for (j, x) in xs.iter().enumerate() {
+                let mut y = vec![0.0f32; 200];
+                let health = prepared.execute_into(x, &mut y).unwrap().health;
+                assert_eq!(health.tile_rows_quarantined, 0, "{policy:?} vector {j}");
+                assert!(!health.fallback, "{policy:?} vector {j}: {health:?}");
+                assert!(
+                    agrees_up_to_nan_payload(&y, &want[j]),
+                    "{policy:?} vector {j} vs the reference walk"
+                );
+            }
+            let mut got = vec![vec![0.0f32; 200]; xs.len()];
+            prepared.execute_batch_into(&xs, &mut got).unwrap();
+            for (j, health) in prepared.batch_health().iter().enumerate() {
+                assert_eq!(
+                    health.tile_rows_quarantined, 0,
+                    "{policy:?} batch vector {j}"
+                );
+                assert!(!health.fallback, "{policy:?} batch vector {j}: {health:?}");
+                assert!(
+                    agrees_up_to_nan_payload(&got[j], &want[j]),
+                    "{policy:?} batch vector {j} vs the reference walk"
+                );
             }
         }
     }

@@ -6,10 +6,10 @@
 //! partial sums are exactly representable in `f32` and "indistinguishable"
 //! means **bit for bit**: identical output bits across batch sizes
 //! {1, 8}, worker budgets {1, 2, 7} through both the executor and the
-//! per-instance reference walk (building
-//! with `--features simd` turns the sweep into the SIMD-vs-scalar
-//! differential; CI runs both rows), identical execution reports, and —
-//! under a pinned schedule — identical `memory_bytes` repricing.
+//! per-instance reference walk (on x86_64 the executor runs the SSE2
+//! class kernels, which the hw crate's `kernel` tests compare against the
+//! scalar kernel over every template mask), identical execution reports,
+//! and — under a pinned schedule — identical `memory_bytes` repricing.
 //!
 //! The suite covers all three update paths: values-only copy-on-write
 //! patches, structural tile splices, and the drift-triggered full
@@ -53,8 +53,8 @@ fn probe_batch(cols: u32, batch: usize) -> Vec<Vec<f32>> {
         .collect()
 }
 
-/// Runs `f` under an explicit ambient worker budget (no-op in serial
-/// builds, where every budget degenerates to one worker).
+/// Runs `f` under an explicit ambient worker budget (a budget of one
+/// runs inline on the calling thread).
 fn with_budget<R>(threads: usize, f: impl FnOnce() -> R) -> R {
     rayon::ThreadPoolBuilder::new()
         .num_threads(threads)
